@@ -60,12 +60,10 @@ from .curves import (
     decompose,
     find_curve,
     fixed_locus,
-    images_mutually_close,
     is_unbounded,
     leading_behavior,
     no_smaller_curve,
     one_param_action,
-    point_to_curve_distance,
     substitute_curve,
     verify_curve,
     verify_curve_pointwise,

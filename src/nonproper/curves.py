@@ -4,9 +4,7 @@ image coverings, and fixed loci of one-parameter additive actions.
 
 A parametric curve here is a polynomial map from the line into affine
 space, stored as exact coefficient vectors.  Everything that claims
-anything is verified exactly; floating point appears only in the sampling
-helpers at the bottom, which support tests and never feed back into
-certificates.
+anything is verified exactly, in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -17,68 +15,38 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .groebner import Ideal, buchberger, eliminate, vanishes_on
-from .mpoly import Context, resultant
+from .mpoly import Context, MPoly, resultant
 from .orders import GREVLEX, LEX
 from .unipoly import (
     Q,
     UniPoly,
     nonneg_on_line_list,
     real_roots_list,
+    uadd,
     ucontent_primitive,
     udeg,
+    uderiv,
     udivmod,
     umonic,
     umul,
     upow,
+    usub,
     utrim,
 )
 
-# -- generic polynomials in t with ring coefficients ---------------------------
-
-
-def _tp_trim(a, zero):
-    while len(a) > 1 and a[-1] == zero:
-        a.pop()
-    return a
-
-
-def _tp_add(a, b, zero):
-    n = max(len(a), len(b))
-    out = [zero] * n
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _tp_trim(out, zero)
-
-
-def _tp_mul(a, b, zero):
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == zero:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _tp_trim(out, zero)
-
-
-def _tp_pow(a, e, zero, one):
-    out = [one]
-    for _ in range(e):
-        out = _tp_mul(out, a, zero)
-    return out
+# -- polynomials in t with ring coefficients ----------------------------------
 
 
 def eval_at_tpolys(p, coords, zero, one):
     """Expand p(c_1(t), ..., c_n(t)) where each coordinate is a list of
-    ring coefficients in ascending powers of t."""
-    total = [zero]
+    ring coefficients in ascending powers of t; trimmed, [] for zero."""
+    total = []
     for mono, c in p.terms.items():
         term = [one * c]
         for i, e in enumerate(mono):
             if e:
-                term = _tp_mul(term, _tp_pow(coords[i], e, zero, one), zero)
-        total = _tp_add(total, term, zero)
+                term = umul(term, upow(coords[i], e, zero, one), zero)
+        total = uadd(total, term, zero)
     return total
 
 
@@ -728,8 +696,7 @@ def _min_of_even_poly(g):
     coefficients, which are out of scope)."""
     ctx = Context(("t_", "y_"), LEX)
     t, y = ctx.var("t_"), ctx.var("y_")
-    gp = uderiv_list(g)
-    p1 = _embed_scalar(gp, ctx, "t_")
+    p1 = _embed_scalar(uderiv(g), ctx, "t_")
     p2 = _embed_scalar(g, ctx, "t_") - y
     res = resultant(p1, p2, "t_")
     rcoeffs = [c.constant_value() for c in res.coeffs_in("y_")]
@@ -737,7 +704,7 @@ def _min_of_even_poly(g):
         raise AssertionError("critical-value resultant must be univariate")
     cands = _rational_roots(utrim([Q(c) for c in rcoeffs]))
     for c in sorted(cands):
-        shifted = usub_list(g, c)
+        shifted = usub(g, [c])
         if nonneg_on_line_list(shifted) and real_roots_list(shifted):
             return c
     raise PreconditionError(
@@ -746,24 +713,8 @@ def _min_of_even_poly(g):
     )
 
 
-def uderiv_list(a):
-    return utrim([c * i for i, c in enumerate(a)][1:])
-
-
-def usub_list(a, c):
-    out = list(a)
-    if not out:
-        out = [Q(0)]
-    out[0] = out[0] - Q(c)
-    return utrim(out)
-
-
 def _embed_scalar(cs, ctx, name):
-    v = ctx.var(name)
-    acc = ctx.zero()
-    for c in reversed(cs):
-        acc = acc * v + ctx.const(c)
-    return acc
+    return MPoly.from_coeffs_in(ctx, name, [ctx.const(c) for c in cs])
 
 
 def cover_image_real(curve):
@@ -888,54 +839,3 @@ def fixed_locus(action):
             if not coeff.is_zero():
                 gens.append(coeff.rebase(ctx))
     return Ideal(ctx, gens or [ctx.zero()])
-
-
-# -- floating sampling helpers (tests only) -----------------------------------------------
-
-
-def point_to_curve_distance(point, curve, span=None):
-    """Numeric distance from a point to the real image of a curve, via
-    the critical points of the squared-distance polynomial."""
-    import numpy as np
-
-    coords = [np.array([float(c) for c in curve.coordinate(i)]) for i in range(curve.m)]
-    # squared distance D(s) = sum_i (phi_i(s) - p_i)^2
-    D = np.zeros(1)
-    for i in range(curve.m):
-        cs = coords[i].copy()
-        cs[0] -= float(point[i])
-        sq = np.convolve(cs, cs)
-        n = max(len(D), len(sq))
-        D = np.pad(D, (0, n - len(D))) + np.pad(sq, (0, n - len(sq)))
-    dD = np.polynomial.polynomial.polyder(D)
-    cand = [0.0]
-    if len(dD) > 1 or dD[0] != 0:
-        roots = np.polynomial.polynomial.polyroots(dD)
-        cand.extend(r.real for r in roots if abs(r.imag) < 1e-9)
-    best = float("inf")
-    for s in cand:
-        val = sum(
-            (float(np.polynomial.polynomial.polyval(s, coords[i])) - float(point[i])) ** 2
-            for i in range(curve.m)
-        )
-        best = min(best, val)
-    return best ** 0.5
-
-
-def images_mutually_close(curve_a, curve_b, n=200, tol=1e-9, span=1.5):
-    """Sample n parameter values on each curve and require every sampled
-    point to lie within tol of the other curve's image."""
-    import numpy as np
-
-    ts = np.linspace(-span, span, n)
-    for s in ts:
-        pa = [float(np.polynomial.polynomial.polyval(s, [float(c) for c in curve_a.coordinate(i)]))
-              for i in range(curve_a.m)]
-        if point_to_curve_distance(pa, curve_b) > tol:
-            return False
-    for s in ts:
-        pb = [float(np.polynomial.polynomial.polyval(s, [float(c) for c in curve_b.coordinate(i)]))
-              for i in range(curve_b.m)]
-        if point_to_curve_distance(pb, curve_a) > tol:
-            return False
-    return True

@@ -426,14 +426,6 @@ def exact_div(p, q):
     return MPoly(ctx, quot)
 
 
-def _upoly_view(p, name):
-    return p.coeffs_in(name)
-
-
-def _upoly_build(ctx, name, coeffs):
-    return MPoly.from_coeffs_in(ctx, name, coeffs)
-
-
 def _content_in(p, name):
     """gcd of the coefficients of p viewed as univariate in ``name``."""
     coeffs = [c for c in p.coeffs_in(name) if not c.is_zero()]
@@ -467,7 +459,7 @@ def _pseudo_rem(a, b, name):
         r.pop()
     if not r:
         return ctx.zero()
-    return _upoly_build(ctx, name, r)
+    return MPoly.from_coeffs_in(ctx, name, r)
 
 
 def mpoly_gcd(p, q):

@@ -243,6 +243,24 @@ _ALLOWED_KEYS = {
 }
 
 
+def _strings(data, key):
+    """The list of strings under key, as a tuple (empty when absent)."""
+    value = data.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{key!r} must be a list of strings")
+    return tuple(value)
+
+
+def _points(data, key):
+    """The list of points under key, each a list of rational strings."""
+    value = data.get(key, [])
+    if not isinstance(value, list) or not all(
+        isinstance(p, list) and all(isinstance(c, str) for c in p) for p in value
+    ):
+        raise ParseError(f"{key!r} must be a list of points, each a list of strings")
+    return tuple(tuple(p) for p in value)
+
+
 def problem_from_dict(data, raw=b""):
     if not isinstance(data, dict):
         raise ParseError("problem file must be a JSON object")
@@ -257,7 +275,7 @@ def problem_from_dict(data, raw=b""):
     mode = data.get("field", "complex")
     if mode not in ("complex", "real"):
         raise ParseError("'field' must be 'complex' or 'real'")
-    ineqs = tuple(data.get("domain_inequalities", ()))
+    ineqs = _strings(data, "domain_inequalities")
     if ineqs and mode != "real":
         raise ParseError("domain inequalities are only allowed with field = 'real'")
     degree = data.get("degree")
@@ -269,17 +287,17 @@ def problem_from_dict(data, raw=b""):
     prob = Problem(
         vars=tuple(vars_),
         mode=mode,
-        domain_equations=tuple(data.get("domain_equations", ())),
+        domain_equations=_strings(data, "domain_equations"),
         domain_inequalities=ineqs,
-        map_components=tuple(data.get("map", ())),
-        action=tuple(data.get("action", ())),
+        map_components=_strings(data, "map"),
+        action=_strings(data, "action"),
         action_param=data.get("action_param", "g"),
-        curve=tuple(data.get("curve", ())),
-        targets=tuple(tuple(t) for t in data.get("targets", ())),
+        curve=_strings(data, "curve"),
+        targets=_points(data, "targets"),
         paths=tuple(data.get("paths", ())),
         degree=degree,
         d1=data.get("d1"),
-        samples=tuple(tuple(s) for s in data.get("samples", ())),
+        samples=_points(data, "samples"),
         sharpness=bool(data.get("sharpness", False)),
         kmax=kmax,
         raw=raw,

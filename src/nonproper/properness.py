@@ -121,14 +121,19 @@ def _coordinate_elimination(f, j):
     return eliminate(graph_ideal(f), set(f.image_names) | {name})
 
 
-def coordinate_min_poly(f: PolyMap, j, _elim=None) -> MPoly:
+def _relations(elim, name):
+    """Generators of a coordinate elimination basis that involve the
+    coordinate itself."""
+    return [g for g in elim.generators if g.degree_in(name) > 0]
+
+
+def coordinate_min_poly(f: PolyMap, j) -> MPoly:
     """A nonzero relation between source coordinate j and the image
     variables, of minimal degree in that coordinate within the computed
     elimination basis; integer-primitive and squarefree in the
     coordinate."""
     name = f.ctx.names[j]
-    elim = _elim if _elim is not None else _coordinate_elimination(f, j)
-    candidates = [g for g in elim.generators if g.degree_in(name) > 0]
+    candidates = _relations(_coordinate_elimination(f, j), name)
     if not candidates:
         raise PreconditionError(
             f"map is not generically finite: coordinate {name!r} is not "
@@ -142,12 +147,9 @@ def is_generically_finite(f: PolyMap) -> bool:
     """True iff every source coordinate is algebraically dependent on the
     image variables over the domain (equivalently, generic fibers are
     finite)."""
-    for j in range(f.n):
-        name = f.ctx.names[j]
-        elim = _coordinate_elimination(f, j)
-        if not any(g.degree_in(name) > 0 for g in elim.generators):
-            return False
-    return True
+    return all(
+        _relations(_coordinate_elimination(f, j), name) for j, name in enumerate(f.ctx.names)
+    )
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,34 @@ class SfResult:
         return [[str(g) for g in comp.canonical_generators()] for comp in self.components]
 
 
+def _assemble_components(J, leads):
+    """Components of the non-properness set from the image ideal J and
+    (coordinate name, squarefree canonical leading coefficient) pairs.
+
+    A constant coefficient or one vanishing on the whole image yields no
+    component; a coefficient that cuts the empty set from the image is
+    reported by coordinate name.  Returns (components, empty names) with
+    duplicate components dropped."""
+    components = []
+    empty = []
+    seen = set()
+    base = [g for g in J.canonical_generators() if not g.is_zero()]
+    for name, a in leads:
+        if a.constant_value() is not None:
+            continue  # coordinate stays finite over the image
+        if not J.is_zero_ideal() and vanishes_on(a, J):
+            continue  # degenerate: coefficient vanishes on the whole image
+        comp = Ideal(J.ctx, base + [a])
+        if comp.is_unit():
+            empty.append(name)
+            continue
+        key = tuple(str(g) for g in comp.canonical_generators())
+        if key not in seen:
+            seen.add(key)
+            components.append(comp)
+    return components, empty
+
+
 def sf_compute(f: PolyMap) -> SfResult:
     """Compute the non-properness set of a generically finite map.
 
@@ -202,40 +232,12 @@ def sf_compute(f: PolyMap) -> SfResult:
     yctx = f.image_context()
     J = image_closure(f)
     coords = []
-    for j in range(f.n):
-        name = f.ctx.names[j]
-        elim = _coordinate_elimination(f, j)
-        if not any(g.degree_in(name) > 0 for g in elim.generators):
-            raise PreconditionError(
-                f"map is not generically finite: coordinate {name!r} is not "
-                "algebraic over the image"
-            )
-        phi = coordinate_min_poly(f, j, _elim=elim)
+    for j, name in enumerate(f.ctx.names):
+        phi = coordinate_min_poly(f, j)
         nj = phi.degree_in(name)
-        lead = phi.coeffs_in(name)[nj].rebase(yctx)
-        lead = squarefree_full(lead).canonical() if not lead.is_zero() else lead
+        lead = squarefree_full(phi.coeffs_in(name)[nj].rebase(yctx)).canonical()
         coords.append(CoordinateData(j, name, phi, lead, nj))
-
-    components = []
-    empty = []
-    seen = set()
-    for cd in coords:
-        a = cd.lead_coeff
-        if a.constant_value() is not None:
-            continue  # coordinate stays finite over the image
-        if not J.is_zero_ideal() and vanishes_on(a, J):
-            continue  # degenerate: coefficient vanishes on the whole image
-        gens = [g for g in J.canonical_generators() if not g.is_zero()] + [a]
-        comp = Ideal(yctx, gens)
-        if comp.is_unit():
-            empty.append(cd.name)
-            continue
-        key = tuple(str(g) for g in comp.canonical_generators())
-        if key in seen:
-            continue
-        seen.add(key)
-        components.append(comp)
-
+    components, empty = _assemble_components(J, [(cd.name, cd.lead_coeff) for cd in coords])
     dim_image = dimension(J)
     hypersurface_ok = all(dimension(c) == dim_image - 1 for c in components)
     return SfResult(
@@ -355,26 +357,9 @@ def sf_components_resultant(f: PolyMap):
     comparison with sf_compute."""
     yctx = f.image_context()
     J = image_closure(f)
-    comps = []
-    seen = set()
-    for j in range(f.n):
-        name = f.ctx.names[j]
+    leads = []
+    for j, name in enumerate(f.ctx.names):
         phi = coordinate_min_poly_resultant(f, j)
-        nj = phi.degree_in(name)
-        if nj == 0:
-            continue
-        lead = phi.coeffs_in(name)[nj].rebase(yctx)
-        if lead.constant_value() is not None:
-            continue
-        lead = squarefree_full(lead).canonical()
-        if not J.is_zero_ideal() and vanishes_on(lead, J):
-            continue
-        gens = [g for g in J.canonical_generators() if not g.is_zero()] + [lead]
-        comp = Ideal(yctx, gens)
-        if comp.is_unit():
-            continue
-        key = tuple(str(g) for g in comp.canonical_generators())
-        if key not in seen:
-            seen.add(key)
-            comps.append(comp)
-    return comps
+        lead = phi.coeffs_in(name)[phi.degree_in(name)].rebase(yctx)
+        leads.append((name, squarefree_full(lead).canonical()))
+    return _assemble_components(J, leads)[0]

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .curves import ParametricCurve, common_inner, eval_at_tpolys, substitute_curve
 from .errors import NonproperError, PreconditionError, VerificationError
 from .rationals import snap_rational
@@ -93,11 +91,15 @@ def unit_normalize(coeffs):
     """(lam, normalized) with normalized = c_i * lam^i of unit Euclidean
     norm, lam > 0 solved by bracket doubling plus bisection.
 
-    Requires the constant coefficient to have norm < 1 (otherwise the
-    step is not yet in the convergence regime) and some higher
-    coefficient to be nonzero (otherwise the curve is constant)."""
-    arr = _as_complex_matrix(coeffs)
-    norms2 = [float(np.sum(np.abs(row) ** 2)) for row in arr]
+    ``coeffs`` is a UniPoly or a sequence of coefficient rows; the result
+    rows are tuples of complex.  Requires the constant coefficient to
+    have norm < 1 (otherwise the step is not yet in the convergence
+    regime) and some higher coefficient to be nonzero (otherwise the
+    curve is constant)."""
+    if isinstance(coeffs, UniPoly):
+        coeffs = coeffs.coeffs
+    rows = [tuple(complex(c) for c in row) for row in coeffs]
+    norms2 = [sum(a * a for a in map(abs, row)) for row in rows]
     if norms2[0] >= 1.0:
         raise PreconditionError(
             "constant coefficient norm is >= 1: not yet in the convergence regime"
@@ -122,17 +124,8 @@ def unit_normalize(coeffs):
         lam = mid
         if abs(math.sqrt(val) - 1.0) < 1e-13:
             break
-    scaled = np.array([arr[i] * lam ** i for i in range(arr.shape[0])])
+    scaled = tuple(tuple(c * lam ** i for c in row) for i, row in enumerate(rows))
     return lam, scaled
-
-
-def _as_complex_matrix(coeffs):
-    if isinstance(coeffs, UniPoly):
-        return np.array([[complex(c) for c in vec] for vec in coeffs.coeffs])
-    arr = np.asarray(coeffs, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,7 @@ class StepRecord:
     k: int
     raw: UniPoly  # exact image curve, already translated by the target
     lam: float
-    normalized: object  # complex ndarray, phase-aligned to the previous step
+    normalized: tuple  # rows of complex, phase-aligned to the previous step
     in_regime: bool
 
 
@@ -149,20 +142,20 @@ class FloatCurve:
     """Floating estimate of the limit curve (coefficient matrix rows are
     t-powers)."""
 
-    coeffs: object  # complex ndarray (degree+1, m)
+    coeffs: tuple  # degree+1 rows of m complex numbers
 
     @property
     def m(self):
-        return self.coeffs.shape[1]
+        return len(self.coeffs[0])
 
     @property
     def degree(self):
-        return self.coeffs.shape[0] - 1
+        return len(self.coeffs) - 1
 
     def eval(self, t):
-        acc = np.zeros(self.m, dtype=complex)
-        for row in self.coeffs[::-1]:
-            acc = acc * t + row
+        acc = (0j,) * self.m
+        for row in reversed(self.coeffs):
+            acc = tuple(a * t + c for a, c in zip(acc, row))
         return acc
 
 
@@ -193,12 +186,19 @@ class LimitTrace:
 
 
 def _phase_align(prev, cur):
-    inner = np.vdot(cur, prev)  # sum conj(cur) * prev
+    """Pad both coefficient matrices with zero rows to a common length and
+    rotate cur by the unit phase that best matches prev; return the
+    padded, rotated cur and its sup-norm distance to prev."""
+    depth = max(len(prev), len(cur))
+    zero = (0j,) * len(cur[0])
+    prev = prev + (zero,) * (depth - len(prev))
+    cur = cur + (zero,) * (depth - len(cur))
+    inner = sum(c.conjugate() * p for rc, rp in zip(cur, prev) for c, p in zip(rc, rp))
     if abs(inner) < 1e-300:
         return cur, float("inf")
     u = inner / abs(inner)
-    aligned = u * cur
-    return aligned, float(np.max(np.abs(aligned - prev)))
+    aligned = tuple(tuple(u * c for c in row) for row in cur)
+    return aligned, max(abs(a - p) for ra, rp in zip(aligned, prev) for a, p in zip(ra, rp))
 
 
 def track(f, target, path, tol=1e-8, residual_tol=1e-6):
@@ -237,17 +237,8 @@ def track(f, target, path, tol=1e-8, residual_tol=1e-6):
         except PreconditionError:
             steps.append(StepRecord(k, raw, float("nan"), None, False))
             continue
-        if prev_norm is not None and prev_norm.shape == normalized.shape:
+        if prev_norm is not None:
             normalized, diff = _phase_align(prev_norm, normalized)
-            diffs.append(diff)
-        elif prev_norm is not None:
-            pad = max(prev_norm.shape[0], normalized.shape[0])
-            a = np.zeros((pad, f.m), dtype=complex)
-            b = np.zeros((pad, f.m), dtype=complex)
-            a[: prev_norm.shape[0]] = prev_norm
-            b[: normalized.shape[0]] = normalized
-            b, diff = _phase_align(a, b)
-            normalized = b
             diffs.append(diff)
         prev_norm = normalized
         steps.append(StepRecord(k, raw, lam, normalized, True))
@@ -258,15 +249,12 @@ def track(f, target, path, tol=1e-8, residual_tol=1e-6):
             status = "converged"
         else:
             status = "diverged"
-    limit = None
+    limit = FloatCurve(((0j,) * f.m,))
     for s in reversed(steps):
         if s.in_regime:
-            est = np.array(s.normalized, dtype=complex, copy=True)
-            est[0] += np.array([complex(t) for t in target])
-            limit = FloatCurve(est)
+            row0 = tuple(c + complex(t) for c, t in zip(s.normalized[0], target))
+            limit = FloatCurve((row0,) + s.normalized[1:])
             break
-    if limit is None:
-        limit = FloatCurve(np.zeros((1, f.m), dtype=complex))
     lambdas = tuple(s.lam for s in steps if s.in_regime)
     return LimitTrace(
         target=target,

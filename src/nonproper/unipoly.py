@@ -27,7 +27,7 @@ Q = Fraction
 
 def utrim(cs):
     cs = list(cs)
-    while cs and cs[-1] == 0:
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
@@ -36,9 +36,13 @@ def udeg(cs):
     return len(cs) - 1 if cs else -1
 
 
-def uadd(a, b):
+# uadd, umul and upow work over any coefficient ring whose zero is falsy
+# (Fractions, MPolys); zero and one are that ring's identities
+
+
+def uadd(a, b, zero=Q(0)):
     n = max(len(a), len(b))
-    out = [Q(0)] * n
+    out = [zero] * n
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
@@ -54,12 +58,12 @@ def usub(a, b):
     return uadd(a, uneg(b))
 
 
-def umul(a, b):
+def umul(a, b, zero=Q(0)):
     if not a or not b:
         return []
-    out = [Q(0)] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
+        if not ca:
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
@@ -70,10 +74,11 @@ def uscale(a, s):
     s = Q(s)
     return utrim([c * s for c in a])
 
-def upow(a, e):
-    out = [Q(1)]
+
+def upow(a, e, zero=Q(0), one=Q(1)):
+    out = [one]
     for _ in range(e):
-        out = umul(out, a)
+        out = umul(out, a, zero)
     return out
 
 

@@ -23,7 +23,6 @@ from nonproper import (
     curve_relations,
     dimension,
     fixed_locus,
-    images_mutually_close,
     no_smaller_curve,
     one_param_action,
     parse_poly,
@@ -40,6 +39,8 @@ from nonproper.cli import main as cli_main
 from nonproper.curves import compose_scalar, decompose
 from nonproper.orders import LEX
 from nonproper.unipoly import UniPoly
+
+from sampling import images_mutually_close
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -105,6 +105,24 @@ class TestExitTaxonomy:
         code, *_ = run_cli(capsys, "sf", path, "--quiet")
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["map", "domain_equations", "domain_inequalities"])
+    def test_non_string_polynomial_is_2(self, capsys, tmp_path, key):
+        body = {"format": 1, "vars": ["x", "y"], "field": "real", "map": ["x", "x*y"]}
+        body[key] = [1, "x*y"]
+        path = write_problem(tmp_path, body)
+        code, report, err = run_cli(capsys, "sf", path, "--quiet")
+        assert code == 2 and report is None
+        assert "parse error" in err and key in err
+
+    @pytest.mark.parametrize("key", ["samples", "targets"])
+    def test_non_string_point_is_2(self, capsys, tmp_path, key):
+        body = {"format": 1, "vars": ["x", "y"], "map": ["x", "x*y"], "degree": 1}
+        body[key] = [[0.5, 1]]
+        path = write_problem(tmp_path, body)
+        code, report, err = run_cli(capsys, "certify", path, "--quiet")
+        assert code == 2 and report is None
+        assert "parse error" in err and key in err
+
     def test_wrong_format_version_is_2(self, capsys, tmp_path):
         path = write_problem(tmp_path, {"format": 2, "vars": ["x"], "map": ["x"]})
         code, *_ = run_cli(capsys, "sf", path, "--quiet")

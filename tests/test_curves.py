@@ -18,7 +18,6 @@ from nonproper import (
     decompose,
     find_curve,
     fixed_locus,
-    images_mutually_close,
     is_unbounded,
     no_smaller_curve,
     one_param_action,
@@ -32,6 +31,7 @@ from nonproper.orders import LEX
 from nonproper.unipoly import UniPoly
 
 from conftest import small_fractions
+from sampling import images_mutually_close
 
 Y12 = Context(("y1", "y2"), LEX)
 

@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import nonproper
 from nonproper import (
     ConstantCurveError,
     Context,
@@ -93,7 +96,7 @@ class TestUnitNormalize:
 
     def test_norm_residual_invariant(self):
         lam, nrm = unit_normalize([[0.3, 0.1], [2.0, -1.0], [0.5, 4.0]])
-        total = float(np.sum(np.abs(nrm) ** 2))
+        total = sum(abs(c) ** 2 for row in nrm for c in row)
         assert abs(math.sqrt(total) - 1.0) < 1e-12
 
     def test_constant_coefficient_too_large(self):
@@ -146,9 +149,7 @@ class TestTrack:
     def test_constant_coefficient_shrinks_monotonically(self):
         trace = track(SCALING, (0, 1), quad_path("inv_k2", "k2"))
         tail = [s for s in trace.steps if s.in_regime][-3:]
-        norms = [float(np.sum(np.abs(np.array([[complex(c) for c in vec]
-                                               for vec in s.raw.coeffs[0:1]])) ** 2))
-                 for s in tail]
+        norms = [sum(abs(complex(c)) ** 2 for c in s.raw.coeffs[0]) for s in tail]
         assert norms[0] > norms[1] > norms[2]
 
     def test_degree_contract(self):
@@ -208,6 +209,15 @@ class TestTrack:
             PathSpec("radial", lambda k: (Q(k),), (1, 2, 3))  # too short
         with pytest.raises(PreconditionError):
             PathSpec("radial", lambda k: (Q(k),), (1, 2, 2, 3))
+
+
+def test_cli_import_leaves_numpy_out():
+    # the tracker computes in plain Python complex; numpy is test-only
+    src = str(Path(nonproper.__file__).resolve().parents[1])
+    code = "import sys, nonproper.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr or "importing nonproper.cli loaded numpy"
 
 
 class TestRationalizeVerify:
