@@ -1,9 +1,13 @@
 """Buchberger Groebner engine with elimination orders.
 
-Deliberately classical: normal pair selection (minimal lcm degree, ties
-broken by the active order on lcms) and the two textbook pair-pruning
-criteria (coprime leading monomials; chain criterion).  Adequate for the
-desk-scale inputs this package targets (few variables, small degrees).
+Normal pair selection: pending pairs wait in a heap keyed by lcm degree,
+ties broken by the active order on lcms, and each key is computed once,
+when its pair is created.  Popped pairs are pruned by the two textbook
+criteria (coprime leading monomials; chain criterion).  Every basis
+element carries its leading monomial and coefficient, computed once, as a
+``(lm, lc, poly)`` triple.  S-polynomials are built in one pass over the
+two term dicts, and reduction takes the next term from a heap on which
+each monomial's order key is computed once, when the monomial enters.
 
 Ideals are immutable; the reduced basis per order tag is cached
 write-once, and recomputation is idempotent, so concurrent readers are
@@ -12,25 +16,76 @@ safe.
 
 from __future__ import annotations
 
+import heapq
+from itertools import combinations
+from operator import add, le, sub
+
 from .errors import PreconditionError
 from .mpoly import Context, MPoly
 from .orders import LEX, block_order
 
 
 def _lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def _divides(m1, m2):
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def _mono_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def _mono_sub(m1, m2):
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
+
+
+def _neg(key):
+    """Negate an order key (nested tuples of ints), so that heapq's
+    min-heap pops the largest monomial first."""
+    return -key if isinstance(key, int) else tuple(map(_neg, key))
+
+
+def _lead(p, order):
+    """The (leading monomial, leading coefficient, polynomial) triple."""
+    lm = p.leading_monomial(order)
+    return lm, p.terms[lm], p
+
+
+def _reduce(terms, lead, order):
+    """Full remainder of a term dict on division by the polynomials of
+    `lead`, a list of (lm, lc, poly) triples.  The remainder's terms come
+    in descending order, so its first key is its leading monomial."""
+    key = order.key
+    rest = dict(terms)  # every monomial on the heap; cancelled ones hold 0
+    heap = [(_neg(key(m)), m) for m in rest]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = rest.pop(m)
+        if not c:
+            continue
+        for lm, lc, b in lead:
+            if _divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        shift = _mono_sub(m, lm)
+        fac = c / lc
+        for bm, bc in b.terms.items():
+            if bm == lm:
+                continue
+            mm = _mono_mul(shift, bm)
+            old = rest.get(mm)
+            if old is None:
+                rest[mm] = -fac * bc
+                heapq.heappush(heap, (_neg(key(mm)), mm))
+            else:
+                rest[mm] = old - fac * bc
+    return remainder
 
 
 def reduce_poly(p, basis, order):
@@ -39,106 +94,94 @@ def reduce_poly(p, basis, order):
     monomial."""
     if not basis:
         return p
-    ctx = p.ctx
-    lead = [(b.leading_monomial(order), b.leading_coeff(order), b) for b in basis]
-    rest = dict(p.terms)
-    remainder = {}
-    while rest:
-        m = max(rest, key=order.key)
-        c = rest.pop(m)
-        hit = None
-        for lm, lc, b in lead:
-            if _divides(lm, m):
-                hit = (lm, lc, b)
-                break
-        if hit is None:
-            remainder[m] = c
+    return MPoly(p.ctx, _reduce(p.terms, [_lead(b, order) for b in basis], order))
+
+
+def _spoly_terms(f, g):
+    """Term dict of the S-polynomial of two (lm, lc, poly) triples."""
+    lf, cf, pf = f
+    lg, cg, pg = g
+    L = _lcm(lf, lg)
+    sf, sg = _mono_sub(L, lf), _mono_sub(L, lg)
+    out = {_mono_mul(sf, m): c / cf for m, c in pf.terms.items() if m != lf}
+    for m, c in pg.terms.items():
+        if m == lg:
             continue
-        lm, lc, b = hit
-        shift = _mono_sub(m, lm)
-        fac = c / lc
-        for bm, bc in b.terms.items():
-            if bm == lm:
-                continue
-            mm = _mono_mul(shift, bm)
-            s = rest.get(mm, 0) - fac * bc
-            if s:
-                rest[mm] = s
-            else:
-                rest.pop(mm, None)
-    return MPoly(ctx, remainder)
+        mm = _mono_mul(sg, m)
+        s = out.get(mm, 0) - c / cg
+        if s:
+            out[mm] = s
+        else:
+            del out[mm]
+    return out
 
 
 def spoly(f, g, order):
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
-    L = _lcm(lf, lg)
-    ctx = f.ctx
-    mf = MPoly(ctx, {_mono_sub(L, lf): 1 / f.leading_coeff(order)})
-    mg = MPoly(ctx, {_mono_sub(L, lg): 1 / g.leading_coeff(order)})
-    return mf * f - mg * g
+    return MPoly(f.ctx, _spoly_terms(_lead(f, order), _lead(g, order)))
 
 
 def buchberger(gens, order):
     """Reduced Groebner basis, canonicalized and sorted by decreasing
     leading monomial.  The unit ideal yields [1]; the zero ideal []."""
-    G = [g.monic(order) for g in gens if not g.is_zero()]
+    G = [_lead(g.monic(order), order) for g in gens if not g.is_zero()]
     if not G:
         return []
-    lm = [g.leading_monomial(order) for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    ctx = G[0][2].ctx
+    key = order.key
+    pairs = set()  # pending pairs, the record the chain criterion reads
+    queue = []  # heap of (lcm degree, order key of lcm, i, j, lcm)
 
-    def pair_key(ij):
-        L = _lcm(lm[ij[0]], lm[ij[1]])
-        return (sum(L), order.key(L))
+    def add_pairs(new):
+        lmn = G[new][0]
+        for t in range(new):
+            L = _lcm(G[t][0], lmn)
+            pairs.add((t, new))
+            heapq.heappush(queue, (sum(L), key(L), t, new, L))
 
-    while pairs:
-        i, j = min(pairs, key=pair_key)
+    for new in range(1, len(G)):
+        add_pairs(new)
+    while queue:
+        _, _, i, j, L = heapq.heappop(queue)
         pairs.discard((i, j))
-        L = _lcm(lm[i], lm[j])
-        if L == _mono_mul(lm[i], lm[j]):
+        if L == _mono_mul(G[i][0], G[j][0]):
             continue  # coprime leading monomials
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not _divides(lm[k], L):
-                continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 not in pairs and p2 not in pairs:
-                skip = True
-                break
-        if skip:
+        # chain criterion: some lm[k] divides L, and (i, k), (j, k) are done
+        if any(
+            k != i and k != j
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            and _divides(lmk, L)
+            for k, (lmk, _, _) in enumerate(G)
+        ):
             continue
-        r = reduce_poly(spoly(G[i], G[j], order), G, order)
-        if not r.is_zero():
-            r = r.monic(order)
-            new = len(G)
-            G.append(r)
-            lm.append(r.leading_monomial(order))
-            pairs.update((t, new) for t in range(new))
+        r = _reduce(_spoly_terms(G[i], G[j]), G, order)
+        if r:
+            lm = next(iter(r))
+            lc = r[lm]
+            G.append((lm, 1, MPoly(ctx, {m: c / lc for m, c in r.items()})))
+            add_pairs(len(G) - 1)
 
     # minimalize
     keep = []
     for i in range(len(G)):
-        if not any(j != i and _divides(lm[j], lm[i]) and (j in keep or j > i) for j in range(len(G))):
+        if not any(j != i and _divides(G[j][0], G[i][0]) and (j in keep or j > i) for j in range(len(G))):
             keep.append(i)
     minimal = [G[i] for i in keep]
-    # interreduce fully
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = reduce_poly(g, others, order)
-        reduced.append(r.monic(order))
-    out = [g.canonical(order) for g in reduced if not g.is_zero()]
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return out
+    # interreduce fully; each leading term survives, so each stays monic
+    out = []
+    for i, (lm, _, g) in enumerate(minimal):
+        r = _reduce(g.terms, minimal[:i] + minimal[i + 1:], order)
+        out.append((key(lm), MPoly(ctx, r).canonical(order)))
+    out.sort(key=lambda t: t[0], reverse=True)
+    return [g for _, g in out]
 
 
 def is_groebner(basis, order):
     """Buchberger criterion: every S-polynomial reduces to zero."""
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if not reduce_poly(spoly(basis[i], basis[j], order), basis, order).is_zero():
+    lead = [_lead(b, order) for b in basis]
+    for i in range(len(lead)):
+        for j in range(i + 1, len(lead)):
+            if _reduce(_spoly_terms(lead[i], lead[j]), lead, order):
                 return False
     return True
 
@@ -267,8 +310,6 @@ def dimension(I):
         return -1
     lms = [g.leading_monomial(order) for g in basis]
     n = I.ctx.arity
-    from itertools import combinations
-
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
             s = set(subset)

@@ -27,6 +27,7 @@ from .properness import PolyMap
 from .tracker import PathSpec
 
 FORMAT_VERSION = 1
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_rational(text):
@@ -139,11 +140,10 @@ def eval_path_expr(text, k):
 
 
 def path_from_spec(spec, kmax=20):
-    """PathSpec from {'kind': ..., 'point': [exprs in k]}."""
+    """PathSpec from a path object checked at load time:
+    {'kind': ..., 'point': [exprs in k]}."""
     kind = spec.get("kind", "radial")
-    exprs = spec.get("point")
-    if not exprs:
-        raise ParseError("path spec needs a 'point' list of expressions in k")
+    exprs = spec["point"]
     for e in exprs:
         eval_path_expr(e, 2)  # validate early
 
@@ -261,6 +261,50 @@ def _points(data, key):
     return tuple(tuple(p) for p in value)
 
 
+def _integer(data, key, default, lo, hi=None):
+    """The integer under key, in [lo, hi]; default when absent."""
+    value = data.get(key, default)
+    if value is None:
+        return None
+    if (not isinstance(value, int) or isinstance(value, bool) or value < lo
+            or (hi is not None and value > hi)):
+        bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ParseError(f"{key!r} must be an integer {bound}")
+    return value
+
+
+def _boolean(data, key):
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ParseError(f"{key!r} must be true or false")
+    return value
+
+
+def _paths(data):
+    """The path specs: objects with a nonempty 'point' list of strings and
+    an optional 'kind' of 'radial' or 'cylinder'."""
+    value = data.get("paths", [])
+    if not isinstance(value, list) or not all(
+        isinstance(p, dict) and set(p) <= {"kind", "point"}
+        and p.get("kind", "radial") in ("radial", "cylinder")
+        and isinstance(p.get("point"), list) and p["point"]
+        and all(isinstance(e, str) for e in p["point"])
+        for p in value
+    ):
+        raise ParseError("'paths' must be a list of objects {'kind': 'radial' or "
+                         "'cylinder', 'point': a nonempty list of strings}")
+    return tuple(value)
+
+
+def _action_param(data, vars_):
+    name = data.get("action_param", "g")
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise ParseError("'action_param' must be a variable name")
+    if data.get("action") and name in vars_:
+        raise ParseError(f"'action_param' {name!r} must differ from the variables")
+    return name
+
+
 def problem_from_dict(data, raw=b""):
     if not isinstance(data, dict):
         raise ParseError("problem file must be a JSON object")
@@ -270,20 +314,16 @@ def problem_from_dict(data, raw=b""):
     if data.get("format") != FORMAT_VERSION:
         raise ParseError(f"unsupported problem format {data.get('format')!r}; expected {FORMAT_VERSION}")
     vars_ = data.get("vars")
-    if not vars_ or not all(isinstance(v, str) for v in vars_):
-        raise ParseError("'vars' must be a nonempty list of names")
+    if (not isinstance(vars_, list) or not vars_
+            or not all(isinstance(v, str) and _NAME.fullmatch(v) for v in vars_)
+            or len(set(vars_)) != len(vars_)):
+        raise ParseError("'vars' must be a nonempty list of distinct names")
     mode = data.get("field", "complex")
     if mode not in ("complex", "real"):
         raise ParseError("'field' must be 'complex' or 'real'")
     ineqs = _strings(data, "domain_inequalities")
     if ineqs and mode != "real":
         raise ParseError("domain inequalities are only allowed with field = 'real'")
-    degree = data.get("degree")
-    if degree is not None and (not isinstance(degree, int) or degree < 1):
-        raise ParseError("'degree' must be a positive integer")
-    kmax = data.get("kmax", 20)
-    if not isinstance(kmax, int) or not 2 <= kmax <= 40:
-        raise ParseError("'kmax' must be an integer in [2, 40]")
     prob = Problem(
         vars=tuple(vars_),
         mode=mode,
@@ -291,15 +331,15 @@ def problem_from_dict(data, raw=b""):
         domain_inequalities=ineqs,
         map_components=_strings(data, "map"),
         action=_strings(data, "action"),
-        action_param=data.get("action_param", "g"),
+        action_param=_action_param(data, vars_),
         curve=_strings(data, "curve"),
         targets=_points(data, "targets"),
-        paths=tuple(data.get("paths", ())),
-        degree=degree,
-        d1=data.get("d1"),
+        paths=_paths(data),
+        degree=_integer(data, "degree", None, 1),
+        d1=_integer(data, "d1", None, 0),
         samples=_points(data, "samples"),
-        sharpness=bool(data.get("sharpness", False)),
-        kmax=kmax,
+        sharpness=_boolean(data, "sharpness"),
+        kmax=_integer(data, "kmax", 20, 2, 40),
         raw=raw,
     )
     # parse everything parseable up front so errors surface as ParseError

@@ -123,6 +123,56 @@ class TestExitTaxonomy:
         assert code == 2 and report is None
         assert "parse error" in err and key in err
 
+    @pytest.mark.parametrize("vars_", [["x", "x"], ["x y", "z"], "xy", []])
+    def test_malformed_vars_is_2(self, capsys, tmp_path, vars_):
+        path = write_problem(tmp_path, {"format": 1, "vars": vars_, "map": ["x", "x"]})
+        code, report, err = run_cli(capsys, "sf", path, "--quiet")
+        assert code == 2 and report is None
+        assert "parse error" in err and "vars" in err
+
+    @pytest.mark.parametrize("paths", [
+        [{"point": [1, "k"]}],
+        ["k"],
+        [{"kind": "spiral", "point": ["1/k", "k"]}],
+        [{"point": []}],
+        {"point": ["1/k", "k"]},
+    ])
+    def test_malformed_paths_is_2(self, capsys, tmp_path, paths):
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "map": ["x", "x*y"],
+            "targets": [["1", "1"]], "paths": paths,
+        })
+        code, report, err = run_cli(capsys, "track", path, "--quiet")
+        assert code == 2 and report is None
+        assert "parse error" in err and "paths" in err
+
+    @pytest.mark.parametrize("d1", ["2", -1, 1.5, True])
+    def test_malformed_d1_is_2(self, capsys, tmp_path, d1):
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "map": ["x", "x*y"], "d1": d1,
+        })
+        code, report, err = run_cli(capsys, "bounds", path, "--quiet")
+        assert code == 2 and report is None
+        assert "parse error" in err and "d1" in err
+
+    def test_non_boolean_sharpness_is_2(self, capsys, tmp_path):
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "map": ["x", "x*y"], "sharpness": "false",
+        })
+        code, report, err = run_cli(capsys, "sf", path, "--quiet")
+        assert code == 2 and report is None
+        assert "parse error" in err and "sharpness" in err
+
+    @pytest.mark.parametrize("param", [5, "", "x1", "g h"])
+    def test_malformed_action_param_is_2(self, capsys, tmp_path, param):
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x1", "x2"], "field": "real",
+            "action": ["x1", "x2 + g*x1"], "action_param": param,
+        })
+        code, report, err = run_cli(capsys, "fixlocus", path, "--quiet")
+        assert code == 2 and report is None
+        assert "parse error" in err and "action_param" in err
+
     def test_wrong_format_version_is_2(self, capsys, tmp_path):
         path = write_problem(tmp_path, {"format": 2, "vars": ["x"], "map": ["x"]})
         code, *_ = run_cli(capsys, "sf", path, "--quiet")
@@ -191,6 +241,18 @@ class TestCommands:
         assert code == 0
         assert report["result"]["bounds"]["multc"] == 1
         assert "cn" in report["result"]["skipped"]
+
+    def test_certify_sharpness_twist_d4(self, capsys, tmp_path, report_schema):
+        # one radical-membership proof per unknown of the degree-3 ansatz
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["y1", "y2"], "domain_equations": ["y1 - y2^4"],
+            "degree": 4, "samples": [["0", "0"], ["1", "1"]],
+        })
+        code, report, _ = run_cli(capsys, "certify", path, "--sharpness", "--quiet")
+        assert code == 0
+        jsonschema.validate(report, report_schema)
+        assert report["result"]["status"] == "verified"
+        assert report["result"]["minimality"] == {"0,0": True, "1,1": True}
 
     def test_certify_quadrant(self, capsys, report_schema):
         code, report, _ = run_cli(capsys, "certify", str(PROBLEMS / "quadrant.json"), "--quiet")

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,11 +13,13 @@ from nonproper import (
     parse_poly,
     vanishes_on,
 )
-from nonproper.orders import LEX, block_order
+from nonproper.groebner import reduce_poly
+from nonproper.orders import GREVLEX, LEX, block_order
 
 from conftest import mpolys
 
 XY = Context(("x", "y"))
+XYZ = Context(("x", "y", "z"))
 G4 = Context(("x1", "x2", "y1", "y2"))
 Y12 = Context(("y1", "y2"), LEX)
 
@@ -61,6 +64,21 @@ class TestGroebner:
         I = Ideal(XY, gens or [XY.zero()])
         basis = groebner(I)
         assert is_groebner(basis, XY.order)
+
+
+class TestReducePoly:
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(XYZ.names, ["x"])],
+                             ids=lambda o: o.tag)
+    @given(mpolys(ctx=XYZ, max_terms=6, max_exp=3),
+           st.lists(mpolys(ctx=XYZ, max_terms=3, max_exp=2), min_size=1, max_size=3))
+    def test_remainder_is_reduced_and_congruent(self, order, p, divisors):
+        basis = [b for b in divisors if not b.is_zero()]
+        if not basis:
+            return
+        r = reduce_poly(p, basis, order)
+        lms = [b.leading_monomial(order) for b in basis]
+        assert not any(all(a <= e for a, e in zip(lm, m)) for m in r.terms for lm in lms)
+        assert Ideal(XYZ, basis).contains(p - r)
 
 
 class TestEliminate:

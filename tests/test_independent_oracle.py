@@ -9,7 +9,18 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from nonproper import Context, Ideal, groebner, mpoly_gcd, real_roots, resultant
+from nonproper import (
+    Context,
+    Ideal,
+    groebner,
+    mpoly_gcd,
+    parse_poly,
+    real_roots,
+    resultant,
+    vanishes_on,
+)
+from nonproper.curves import ansatz_system
+from nonproper.groebner import buchberger
 from nonproper.mpoly import MPoly
 from nonproper.orders import GREVLEX, LEX
 from nonproper.unipoly import UniPoly
@@ -52,11 +63,46 @@ def test_groebner_matches_reference():
                                 for _ in range(rng.randint(1, 3))) if not g.is_zero()]
             if not gens:
                 continue
-            mine = groebner(Ideal(ctx, gens), order)
-            ref = sp.groebner([to_sympy(g, syms) for g in gens], *syms, order=sporder)
-            assert normalized([to_sympy(g, syms) for g in mine], syms) == normalized(
-                list(ref.exprs), syms
-            )
+            assert_matches_reference(groebner(Ideal(ctx, gens), order), gens, syms, sporder)
+
+
+def assert_matches_reference(mine, gens, syms, sporder):
+    ref = sp.groebner([to_sympy(g, syms) for g in gens], *syms, order=sporder)
+    assert normalized([to_sympy(g, syms) for g in mine], syms) == normalized(
+        list(ref.exprs), syms
+    )
+
+
+def twist_ansatz(d, deg):
+    """The degree-deg ansatz system through (1, 1) on the twist component
+    y1 - y2^d: the ideals certify --sharpness works on (2*deg unknowns)."""
+    Y = Context(("y1", "y2"))
+    return ansatz_system(Ideal(Y, [parse_poly(f"y1 - y2^{d}", Y)]), (1, 1), deg)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_groebner_matches_reference_on_ansatz_ideals(d):
+    for deg in (d - 1, d):
+        system = twist_ansatz(d, deg)
+        syms = sp.symbols(system.bctx.names)
+        for order, sporder in ((GREVLEX, "grevlex"), (LEX, "lex")):
+            mine = groebner(system.ideal, order)
+            assert_matches_reference(mine, list(system.ideal.generators), syms, sporder)
+
+
+@pytest.mark.parametrize("d, deg, unit", [(4, 3, True), (3, 3, False)])
+def test_rabinowitsch_basis_matches_reference(d, deg, unit):
+    """The radical-membership ideal vanishes_on builds for the unknown
+    b2_1: the unit ideal when no degree-deg curve through (1, 1) moves
+    (the sharpness proof at deg = d - 1), a proper ideal otherwise."""
+    system = twist_ansatz(d, deg)
+    p = system.bctx.var("b2_1")
+    big = Context(system.bctx.names + ("z_",))
+    gens = [g.rebase(big) for g in system.ideal.generators]
+    gens.append(big.one() - big.var("z_") * p.rebase(big))
+    mine = buchberger(gens, big.order)
+    assert_matches_reference(mine, gens, sp.symbols(big.names), "grevlex")
+    assert (mine == [big.one()]) == unit == vanishes_on(p, system.ideal)
 
 
 def test_resultant_matches_reference():
