@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -124,11 +125,11 @@ def cmd_bounds(args, prob):
 
 def cmd_certify(args, prob):
     t0 = time.perf_counter()
-    degree = args.degree or prob.degree
+    degree = args.degree if args.degree is not None else prob.degree
     if not degree:
         raise PreconditionError("certify needs a degree (problem file or --degree)")
     samples = list(prob.sample_points())
-    if args.samples:
+    if args.samples is not None:
         samples = samples[: args.samples]
     if not samples:
         raise PreconditionError("certify needs sample points in the problem file")
@@ -329,6 +330,28 @@ COMMANDS = {
 }
 
 
+def _count(text):
+    """argparse type of a count override: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text):
+    """argparse type of --tol: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="nonproper",
@@ -342,14 +365,14 @@ def build_parser():
             p.add_argument("problem", help="problem file (JSON, format 1)")
         p.add_argument("--order", choices=["lex", "grevlex"], default="lex",
                        help="monomial order for printed polynomials")
-        p.add_argument("--degree", type=int, default=None,
-                       help="override the curve degree bound")
-        p.add_argument("--samples", type=int, default=None,
-                       help="cap the number of sample points used")
-        p.add_argument("--kmax", type=int, default=None,
-                       help="override the geometric schedule length")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="tracker convergence tolerance")
+        p.add_argument("--degree", type=_count, default=None,
+                       help="override the curve degree bound (at least 1)")
+        p.add_argument("--samples", type=_count, default=None,
+                       help="cap the number of sample points used (at least 1)")
+        p.add_argument("--kmax", type=_count, default=None,
+                       help="override the geometric schedule length (at least 1)")
+        p.add_argument("--tol", type=_tolerance, default=1e-8,
+                       help="tracker convergence tolerance (positive, finite)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized curve-search substitutions")
         p.add_argument("--sharpness", action="store_true",
@@ -372,7 +395,7 @@ def main(argv=None):
         prob = None
         if args.needs_file:
             prob = load_problem(args.problem)
-            if args.kmax:
+            if args.kmax is not None:
                 prob.kmax = args.kmax
         return args.fn(args, prob)
     except ParseError as e:

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .orders import GREVLEX, MonomialOrder
+from .unipoly import udeg, ugcd
 
 Scalar = Fraction
 
@@ -432,6 +433,8 @@ def _content_in(p, name):
     g = coeffs[0].ctx.zero()
     for c in coeffs:
         g = mpoly_gcd(g, c)
+        if g.constant_value() is not None:  # a unit cannot get smaller
+            break
     return g
 
 
@@ -462,8 +465,54 @@ def _pseudo_rem(a, b, name):
     return MPoly.from_coeffs_in(ctx, name, r)
 
 
+_POINT_TRIES = 3
+
+
+def _image(p, i, powers):
+    """Coefficient list, in variable i, of p with every other variable j
+    set to the integer whose powers are ``powers[j]``; one pass over the
+    terms."""
+    out = [0] * (max(m[i] for m in p.terms) + 1)
+    for m, c in p.terms.items():
+        for j, e in enumerate(m):
+            if e and j != i:
+                c *= powers[j][e]
+        out[m[i]] += c
+    return out
+
+
+def _coprime_image(a, b, i):
+    """True if a specialization of the other variables proves that the
+    primitive parts a and b have no common factor of positive degree in
+    variable i; False if the images do not decide it."""
+    monos = (*a.terms, *b.terms)
+    tops = [max(m[j] for m in monos) for j in range(a.ctx.arity)]
+    for k in range(_POINT_TRIES):
+        powers = [[(j + 1 + k ** (j + 1)) ** e for e in range(d + 1)]
+                  for j, d in enumerate(tops)]
+        ia = _image(a, i, powers)
+        if ia[-1]:  # lc_i(a) does not vanish at the point
+            return udeg(ugcd(ia, _image(b, i, powers))) == 0
+    return False
+
+
 def mpoly_gcd(p, q):
-    """Canonical gcd via the primitive pseudo-remainder sequence.
+    """Canonical gcd: an early coprimality exit, else the primitive
+    pseudo-remainder sequence.
+
+    The contents c_p, c_q in the main variable v are split off first, so
+    gcd(p, q) = gcd(c_p, c_q) * G with G = gcd(a, b) of the primitive parts.
+    Then a and b are specialized at one integer point of the other
+    variables where lc_v(a) does not vanish: the variables take 1, 2, 3,
+    ..., and if lc_v(a) vanishes there the point moves to 2, 3, 4, ... and
+    then to 3, 6, 11, ... (try k sets variable j to j + 1 + k^(j+1)).  G
+    divides a, so lc_v(G) divides lc_v(a) and does not vanish there either:
+    deg_v G is the degree of G's image, which divides both images, so
+    deg_v G is at most the degree of the univariate gcd of the images.  If
+    that gcd is constant, G is free of v and divides the primitive a, so G
+    is a unit and the answer is exactly the content gcd.  The sequence
+    still runs when the images share a factor (a common factor of a and b,
+    or an unlucky point) or when lc_v(a) vanishes at every point tried.
 
     The result is integer-primitive with positive leading coefficient. The
     gcd of two nonzero constants is 1 (constants are units over Q).
@@ -487,6 +536,8 @@ def mpoly_gcd(p, q):
     c = mpoly_gcd(cp, cq)
     a = exact_div(p, cp)
     b = exact_div(q, cq)
+    if _coprime_image(a, b, ctx.index(name)):
+        return c.canonical()
     if a.degree_in(name) < b.degree_in(name):
         a, b = b, a
     while True:

@@ -225,6 +225,35 @@ class TestExitTaxonomy:
         assert code == 5
         assert report["result"]["runs"][0]["status"] == "diverged"
 
+    @pytest.mark.parametrize("cmd, flag, value", [
+        ("certify", "--samples", "-1"), ("certify", "--samples", "0"),
+        ("certify", "--degree", "0"), ("certify", "--degree", "-2"),
+        ("track", "--kmax", "0"), ("track", "--kmax", "-3"),
+    ])
+    def test_count_override_below_one_is_2(self, capsys, cmd, flag, value):
+        # 0 was dropped silently and a negative --samples sliced the list
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(PROBLEMS / "graph_twist_d2.json"), "--quiet", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
+    def test_bad_tol_is_2(self, capsys, value):
+        # these ran the whole tracker and ended as a verification failure
+        with pytest.raises(SystemExit) as exc:
+            main(["track", str(PROBLEMS / "graph_twist_d2.json"), "--quiet", "--tol", value])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_count_overrides_apply(self, capsys):
+        twist = str(PROBLEMS / "graph_twist_d2.json")
+        code, report, _ = run_cli(capsys, "certify", twist, "--quiet", "--samples", "1")
+        assert code == 0
+        assert len(report["result"]["entries"]) == 1
+        code, report, _ = run_cli(capsys, "certify", twist, "--quiet", "--degree", "1")
+        assert code == 4
+        assert report["result"]["degree"] == 1
+
 
 class TestCommands:
     def test_bounds_table(self, capsys, report_schema):

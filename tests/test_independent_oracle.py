@@ -17,8 +17,11 @@ from nonproper import (
     parse_poly,
     real_roots,
     resultant,
+    squarefree_full,
+    squarefree_part,
     vanishes_on,
 )
+from nonproper import mpoly
 from nonproper.curves import ansatz_system
 from nonproper.groebner import buchberger
 from nonproper.mpoly import MPoly
@@ -139,6 +142,77 @@ def test_gcd_matches_reference():
         ref = sp.gcd(to_sympy(p, (x, y)), to_sympy(q, (x, y)), x, y)
         quot = sp.simplify(mine / ref)
         assert quot.is_constant(), (mine, ref)
+
+
+C3 = Context(("x", "y", "z"), LEX)
+
+
+def assert_gcd_matches(p, q):
+    mine = to_sympy(mpoly_gcd(p, q), XS)
+    ref = sp.gcd(to_sympy(p, XS), to_sympy(q, XS), *XS)
+    assert sp.simplify(mine / ref).is_constant(), (p, q, mine, ref)
+
+
+def test_gcd_matches_reference_three_variables():
+    """Coprime pairs (the specialization exit) and pairs with a common
+    factor of positive degree in z (the pseudo-remainder fallback)."""
+    rng = random.Random(31)
+    coprime = shared = 0
+    for _ in range(40):
+        p = random_mpoly(rng, C3, 3, 2)
+        q = random_mpoly(rng, C3, 3, 2)
+        if rng.random() < 0.5:
+            w = random_mpoly(rng, C3, 3, 1, max_terms=2) + C3.var("z")
+            p, q = p * w, q * w
+        if p.is_zero() or q.is_zero():
+            continue
+        g = mpoly_gcd(p, q)
+        coprime += g.degree_in("z") == 0
+        shared += g.degree_in("z") > 0
+        assert_gcd_matches(p, q)
+    assert coprime >= 10 and shared >= 10
+
+
+@pytest.mark.parametrize("lead, tries", [
+    ("x - 1", 2),                    # vanishes at x = 1, the first point
+    ("(x - 1)*(x - 2)", 3),          # and at x = 2, the second
+    ("(x - 1)*(x - 2)*(x - 3)", 3),  # at every point tried: the PRS decides
+])
+@pytest.mark.parametrize("shared", ["1", "z + x*y - 1", "(x - 1)*z + y"])
+def test_gcd_when_leading_coefficient_vanishes_at_the_point(monkeypatch, lead, tries, shared):
+    seen = []
+    image = mpoly._image
+
+    def spy(p, i, powers):
+        if i == 2:  # the outermost call; the content gcds run in x and y
+            seen.append(powers[0][1])
+        return image(p, i, powers)
+
+    monkeypatch.setattr(mpoly, "_image", spy)
+    w = parse_poly(shared, C3)
+    p = parse_poly(f"({lead})*z^2 + y*z + x + 1", C3) * w
+    q = parse_poly("z^2 + x*z - y^2", C3) * w
+    assert_gcd_matches(p, q)
+    # x takes 1, then 2, then 3 while lc_z(p) vanishes at the point
+    assert sorted(set(seen)) == [1, 2, 3][:tries]
+
+
+def test_squarefree_matches_reference_three_variables():
+    """Products with a repeated factor against sympy's squarefree part.
+    squarefree_part(p, "z") drops the factors free of z (the content in
+    z), squarefree_full keeps one copy of every factor."""
+    rng = random.Random(37)
+    x, y, z = XS
+    for _ in range(12):
+        u = random_mpoly(rng, C3, 3, 1, max_terms=2) + C3.var("z")
+        w = random_mpoly(rng, C3, 3, 1, max_terms=2) + C3.var("z") ** 2
+        P = to_sympy(u ** 2 * w, XS)
+        full = sp.sqf_part(P, *XS)
+        content = sp.gcd_list(sp.Poly(P, z).all_coeffs())
+        in_z = sp.cancel(full / sp.sqf_part(content, x, y))
+        for mine, ref in ((squarefree_part(u ** 2 * w, "z"), in_z),
+                          (squarefree_full(u ** 2 * w), full)):
+            assert sp.simplify(to_sympy(mine, XS) / ref).is_constant(), (u, w, mine, ref)
 
 
 def test_real_root_isolation_matches_reference():

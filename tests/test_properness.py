@@ -219,6 +219,18 @@ class TestCrossOracle:
                 )
 
 
+class TestDenseMap:
+    def test_dense_cubic_map_is_proper(self):
+        # each relation's squarefree step is one coprime gcd; the
+        # pseudo-remainder sequence alone took over a minute on it
+        f = pmap(CXY, "x^3*y^2 + x - y", "x^2*y + 2*y^2 + x")
+        sf = sf_compute(f)
+        assert sf.is_empty
+        assert [cd.degree for cd in sf.coordinates] == [8, 8]
+        assert [str(cd.lead_coeff) for cd in sf.coordinates] == ["1", "1"]
+        assert sf_components_resultant(f) == []
+
+
 class TestNonDominantImage:
     def test_embedded_curve_map(self):
         # t -> (t, t^2): proper, image closure is the parabola
