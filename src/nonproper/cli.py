@@ -10,6 +10,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -32,6 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .problem import (
+    KMAX_RANGE,
     format_rational,
     load_problem,
     make_report,
@@ -330,15 +332,22 @@ COMMANDS = {
 }
 
 
-def _count(text):
-    """argparse type of a count override: an integer of at least 1."""
+def _count(text, lo=1, hi=None):
+    """argparse type of a count override: an integer in [lo, hi]."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
     return value
+
+
+def _kmax(text):
+    """argparse type of --kmax: the problem file's kmax range."""
+    return _count(text, *KMAX_RANGE)
 
 
 def _tolerance(text):
@@ -352,7 +361,10 @@ def _tolerance(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then reused: main only
+    calls parse_args, which leaves the parser unchanged."""
     ap = argparse.ArgumentParser(
         prog="nonproper",
         description="Exact non-properness sets of polynomial maps, certified "
@@ -369,8 +381,9 @@ def build_parser():
                        help="override the curve degree bound (at least 1)")
         p.add_argument("--samples", type=_count, default=None,
                        help="cap the number of sample points used (at least 1)")
-        p.add_argument("--kmax", type=_count, default=None,
-                       help="override the geometric schedule length (at least 1)")
+        p.add_argument("--kmax", type=_kmax, default=None,
+                       help="override the geometric schedule length "
+                            f"({KMAX_RANGE[0]} to {KMAX_RANGE[1]})")
         p.add_argument("--tol", type=_tolerance, default=1e-8,
                        help="tracker convergence tolerance (positive, finite)")
         p.add_argument("--seed", type=int, default=0,
@@ -389,8 +402,7 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         prob = None
         if args.needs_file:

@@ -27,6 +27,10 @@ from .properness import PolyMap
 from .tracker import PathSpec
 
 FORMAT_VERSION = 1
+# kmax sets the schedule k = 2^1 .. 2^kmax, in the file and in --kmax: the
+# convergence test needs 4 indices, and the cap bounds the size of the
+# exact image curves, whose coefficients grow with k
+KMAX_RANGE = (4, 40)
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -52,13 +56,13 @@ def format_rational(q):
 _EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
 
-def eval_path_expr(text, k):
-    """Evaluate an arithmetic expression in the index variable k exactly.
+def path_tokens(text):
+    """The tokens of an arithmetic expression in the index variable k,
+    ending in None.
 
     Full rational arithmetic ( + - * / ^ , unary minus, parentheses ) is
     allowed here, unlike in polynomial text, because path coordinates are
     rational functions of the index."""
-    k = Fraction(k)
     tokens = []
     pos = 0
     while pos < len(text):
@@ -71,6 +75,13 @@ def eval_path_expr(text, k):
         tokens.append(m.group(0).strip())
         pos = m.end()
     tokens.append(None)
+    return tokens
+
+
+def eval_path_tokens(tokens, text, k):
+    """Evaluate the tokens of the path expression text exactly at k.
+    Malformed text and a division by zero at k raise ParseError."""
+    k = Fraction(k)
     i = [0]
 
     def peek():
@@ -143,12 +154,12 @@ def path_from_spec(spec, kmax=20):
     """PathSpec from a path object checked at load time:
     {'kind': ..., 'point': [exprs in k]}."""
     kind = spec.get("kind", "radial")
-    exprs = spec["point"]
-    for e in exprs:
-        eval_path_expr(e, 2)  # validate early
+    exprs = [(e, path_tokens(e)) for e in spec["point"]]
+    for e, tokens in exprs:
+        eval_path_tokens(tokens, e, 2)  # validate early
 
     def point_fn(k):
-        return tuple(eval_path_expr(e, k) for e in exprs)
+        return tuple(eval_path_tokens(tokens, e, k) for e, tokens in exprs)
 
     return PathSpec.geometric(point_fn, kind, kmax)
 
@@ -339,7 +350,7 @@ def problem_from_dict(data, raw=b""):
         d1=_integer(data, "d1", None, 0),
         samples=_points(data, "samples"),
         sharpness=_boolean(data, "sharpness"),
-        kmax=_integer(data, "kmax", 20, 2, 40),
+        kmax=_integer(data, "kmax", 20, *KMAX_RANGE),
         raw=raw,
     )
     # parse everything parseable up front so errors surface as ParseError

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from nonproper import Context, parse_poly
-from nonproper.cli import main
+from nonproper.cli import build_parser, main
+from nonproper.curves import ParametricCurve, substitute_curve
 from nonproper.orders import GREVLEX, LEX
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -255,6 +257,57 @@ class TestExitTaxonomy:
         assert report["result"]["degree"] == 1
 
 
+    @pytest.mark.parametrize("kmax", [2, 3, 41])
+    def test_file_kmax_out_of_range_is_2(self, capsys, tmp_path, problem_schema, kmax):
+        # 2 and 3 loaded and then failed as a precondition (exit 3)
+        body = {
+            "format": 1, "vars": ["x", "y"], "map": ["x + (x*y)^2", "x*y"],
+            "targets": [["4", "2"]],
+            "paths": [{"kind": "radial", "point": ["1/k^2", "2*k^2"]}], "kmax": kmax,
+        }
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(body, problem_schema)
+        code, report, err = run_cli(capsys, "track", write_problem(tmp_path, body), "--quiet")
+        assert code == 2 and report is None
+        assert "'kmax' must be an integer in [4, 40]" in err
+
+    @pytest.mark.parametrize("value", ["1", "3", "41", "100000"])
+    def test_kmax_override_out_of_range_is_2(self, capsys, value):
+        # 1 and 3 failed as a precondition (exit 3); 41 and up had no cap
+        with pytest.raises(SystemExit) as exc:
+            main(["track", str(PROBLEMS / "graph_twist_d2.json"), "--quiet", "--kmax", value])
+        assert exc.value.code == 2
+        assert "--kmax" in capsys.readouterr().err
+
+    def test_division_by_zero_at_a_schedule_index_is_2(self, capsys, tmp_path):
+        # the load-time check evaluates at k = 2; the pole sits at k = 4
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "map": ["x + (x*y)^2", "x*y"],
+            "targets": [["4", "2"]],
+            "paths": [{"kind": "radial", "point": ["1/(k - 4)", "2*k^2"]}],
+        })
+        code, report, err = run_cli(capsys, "track", path, "--quiet")
+        assert code == 2 and report is None
+        assert "division by zero in path expression '1/(k - 4)'" in err
+
+    def test_reused_parser_keeps_no_flags_between_calls(self, capsys, tmp_path):
+        assert build_parser() is build_parser()
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["y1", "y2"], "domain_equations": ["y1 - y2^2"],
+            "degree": 2, "samples": [["0", "0"], ["1", "1"]],
+        })
+        code, report, _ = run_cli(capsys, "certify", path, "--quiet", "--sharpness",
+                                  "--samples", "1", "--order", "grevlex")
+        assert code == 0
+        assert report["result"]["minimality"] == {"0,0": True}
+        assert report["result"]["variety"] == ["y2^2 - y1"]
+        code, report, _ = run_cli(capsys, "certify", path, "--quiet")
+        assert code == 0
+        assert report["result"]["minimality"] == {}
+        assert len(report["result"]["entries"]) == 2
+        assert report["result"]["variety"] == ["y1 - y2^2"]
+
+
 class TestCommands:
     def test_bounds_table(self, capsys, report_schema):
         code, report, _ = run_cli(capsys, "bounds", str(PROBLEMS / "graph_twist_d2.json"),
@@ -307,6 +360,27 @@ class TestCommands:
         assert run["outer_degree"] == 2
         coords = run["verified_curve"]["coordinates"]
         assert coords == ["4 - 16*t + 24*t^2 - 16*t^3 + 4*t^4", "2 - 4*t + 2*t^2"]
+
+    def test_track_cylinder_path(self, capsys, tmp_path, report_schema):
+        # only x1 is scaled: f((1-t)/k^2, k^2) - (0, 1) = ((1-t)/k^2, -t),
+        # so the limit is the line (0, 1 - t) inside V(y1)
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x1", "x2"], "map": ["x1", "x1*x2"],
+            "targets": [["0", "1"]],
+            "paths": [{"kind": "cylinder", "point": ["1/k^2", "k^2"]}],
+        })
+        code, report, _ = run_cli(capsys, "track", path, "--quiet")
+        assert code == 0
+        jsonschema.validate(report, report_schema)
+        run = report["result"]["runs"][0]
+        assert run["kind"] == "cylinder" and run["status"] == "converged"
+        assert {c["name"]: c["ok"] for c in report["checks"]} == {
+            "converged[0]": True, "exact_verification[0]": True}
+        assert run["verified_curve"]["coordinates"] == ["0", "1 - t"]
+        curve = ParametricCurve.from_coordinates(
+            [[Fraction(c) for c in cs] for cs in zip(*run["verified_curve"]["coefficients"])])
+        ctx = Context(("y1", "y2"), LEX)
+        assert substitute_curve(parse_poly("y1", ctx), curve).is_zero()
 
     def test_track_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "trace.csv"

@@ -5,6 +5,9 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from conftest import mpolys, small_fractions
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nonproper
 from nonproper import (
@@ -22,6 +25,7 @@ from nonproper import (
     track,
     unit_normalize,
 )
+from nonproper.curves import eval_at_tpolys
 from nonproper.tracker import LimitTrace, StepRecord, norm_objective
 from nonproper.unipoly import UniPoly
 
@@ -78,6 +82,51 @@ class TestImageCurve:
         # f = (x1, x1 x2) along ((1-t)/4, 3): ((1-t)/4, 3(1-t)/4)
         assert u.coordinate(0) == [Q(1, 4), Q(-1, 4)]
         assert u.coordinate(1) == [Q(3, 4), Q(-3, 4)]
+
+
+def expanded_image_curve(f, base, mode):
+    """Reference image curve by generic t-polynomial arithmetic: substitute
+    (1-t)*b for every scaled coordinate (all of them for radial paths, the
+    first for cylinder paths) and expand each monomial."""
+    base = [Q(b) for b in base]
+    coords = [[b, -b] if mode == "radial" or i == 0 else [b] for i, b in enumerate(base)]
+    rows = [eval_at_tpolys(comp, coords, Q(0), Q(1)) for comp in f.components]
+    depth = max(len(r) for r in rows)
+    return UniPoly([tuple(r[i] if i < len(r) else Q(0) for r in rows) for i in range(depth)],
+                   m=f.m)
+
+
+@st.composite
+def maps_and_points(draw):
+    """A map in 1-3 variables whose components may carry constant terms or
+    be zero, and a rational base point with some zero coordinates."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    ctx = Context(tuple(f"x{i + 1}" for i in range(n)))
+    comps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            comps.append(draw(mpolys(ctx=ctx, max_terms=4, max_exp=3)) + draw(small_fractions))
+        else:
+            comps.append(ctx.zero())
+    assume(max(c.total_degree() for c in comps) >= 1)
+    base = draw(st.lists(st.one_of(st.just(Q(0)), small_fractions), min_size=n, max_size=n))
+    return PolyMap(ctx, tuple(comps)), base
+
+
+class TestImageCurveClosedForm:
+    @settings(max_examples=100)
+    @given(maps_and_points(), st.sampled_from(("radial", "cylinder")))
+    def test_matches_generic_expansion(self, case, mode):
+        f, base = case
+        assert image_curve(f, base, mode) == expanded_image_curve(f, base, mode)
+
+    def test_matches_generic_expansion_on_tracker_schedules(self):
+        for f, point_fn in ((twist(5), lambda k: (Q(-3, k * k), Q(7 * k * k, 2))),
+                            (SCALING, lambda k: (Q(1, k * k), Q(k * k)))):
+            for k in (2 ** i for i in range(1, 31, 3)):
+                for mode in ("radial", "cylinder"):
+                    pt = point_fn(k)
+                    assert image_curve(f, pt, mode) == expanded_image_curve(f, pt, mode)
 
 
 class TestUnitNormalize:
