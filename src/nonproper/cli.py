@@ -3,8 +3,8 @@
 Commands: sf, certify, track, decompose, fixlocus, bounds, examples.
 The machine-readable JSON report goes to stdout; a short human-readable
 rendering goes to stderr (silence it with --quiet).  Exit codes: 0
-success, 2 parse error, 3 precondition violation, 4 search failure, 5
-verification failure.
+success, 1 internal error, 2 parse error, 3 precondition violation, 4
+search failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .properness import sf_compute, theorem_bound
 from .tracker import rationalize_verify, track
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SEARCH = 4
@@ -428,6 +429,9 @@ def main(argv=None):
     except NonproperError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as e:  # a bug, not a bad input: one line, no traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

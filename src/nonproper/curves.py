@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .groebner import Ideal, buchberger, eliminate, vanishes_on
+from .groebner import Ideal, buchberger, eliminate, reduce_poly
 from .mpoly import Context, MPoly, resultant
 from .orders import GREVLEX, LEX
 from .unipoly import (
@@ -64,7 +64,7 @@ class ParametricCurve:
     mode: str = "complex"
 
     def __post_init__(self):
-        coeffs = tuple(tuple(Q(c) for c in vec) for vec in self.coeffs)
+        coeffs = tuple(tuple(c if isinstance(c, Q) else Q(c) for c in vec) for vec in self.coeffs)
         if len(coeffs) != self.degree_bound + 1:
             raise ValueError("coefficient count must be degree_bound + 1")
         if any(len(vec) != self.m for vec in coeffs):
@@ -468,29 +468,46 @@ def _curve_from_solution(system, solution):
     return ParametricCurve.from_coordinates(coords, system.mode, degree_bound=None)
 
 
-def _pattern_candidates(m, a, d):
+def _pattern_candidates(coordinates, a, d):
     for power in range(1, d + 1):
-        for i in range(m):
+        for i in coordinates:
             for sign in (1, -1):
-                coords = [[a[k]] for k in range(m)]
+                coords = [[x] for x in a]
                 coords[i] = [a[i]] + [Q(0)] * (power - 1) + [Q(sign)]
                 yield coords
+
+
+def _line_coordinates(variety, a):
+    """The coordinates i whose line a + s*e_i lies inside the variety."""
+    gens = [g for g in variety.generators if not g.is_zero()]
+    out = []
+    for i in range(len(a)):
+        coords = [[x] for x in a]
+        coords[i] = [a[i], Q(1)]
+        line = ParametricCurve.from_coordinates(coords)
+        if all(substitute_curve(g, line).is_zero() for g in gens):
+            out.append(i)
+    return out
 
 
 def find_curve(variety, a, d, mode="complex", inequalities=(), seed=0):
     """Best-effort search for a verified nonconstant curve of degree at
     most d through a inside the variety.
 
-    Strategy: cheap monomial patterns first, then exact solutions of the
-    ansatz ideal (triangular back-substitution from a lex basis, with
-    small rational substitutions on underdetermined coefficients).  A
-    None return is not a nonexistence proof; use no_smaller_curve for
-    proofs.
+    Strategy: cheap monomial patterns a +- t^p * e_i first, then exact
+    solutions of the ansatz ideal (triangular back-substitution from a
+    lex basis, with small rational substitutions on underdetermined
+    coefficients).  Patterns are tried only along coordinates whose whole
+    line a + s*e_i lies in the variety: a generator g vanishes along
+    a +- t^p * e_i iff P(s) = g(a + s*e_i) is zero, so one line test per
+    coordinate replaces the equation checks of 2d patterns; inequalities
+    are still checked per pattern.  A None return is not a nonexistence
+    proof; use no_smaller_curve for proofs.
     """
     a = tuple(Q(x) for x in a)
     if not _check_on_variety(variety, a, inequalities, mode):
         raise PreconditionError(f"base point {tuple(map(str, a))} is off the variety")
-    for coords in _pattern_candidates(variety.ctx.arity, a, d):
+    for coords in _pattern_candidates(_line_coordinates(variety, a), a, d):
         curve = ParametricCurve.from_coordinates(coords, mode)
         if curve.is_constant():
             continue
@@ -508,18 +525,70 @@ def find_curve(variety, a, d, mode="complex", inequalities=(), seed=0):
     return None
 
 
+def _standard_monomial_count(lms, n):
+    """Number of monomials in n variables divisible by none of the
+    exponent vectors lms, which must include a pure power of every
+    variable.  Splits on the exponent of the last variable: at exponent
+    j the survivors are the standard monomials, in one variable fewer,
+    of the generators whose last exponent is at most j."""
+    memo = {}
+
+    def count(gens, k):
+        if any(not any(g) for g in gens):
+            return 0
+        if k == 0:
+            return 1
+        key = (gens, k)
+        if key not in memo:
+            bound = min(g[k - 1] for g in gens if not any(g[:k - 1]))
+            memo[key] = sum(
+                count(frozenset(g[:k - 1] for g in gens if g[k - 1] <= j), k - 1)
+                for j in range(bound)
+            )
+        return memo[key]
+
+    return count(frozenset(lms), n)
+
+
 def no_smaller_curve(variety, a, d):
     """Prove that no nonconstant curve of degree at most d-1 passes
-    through a inside the variety: every unknown coefficient of the
-    degree-(d-1) ansatz must vanish on the ansatz ideal's zero set
-    (radical membership, decided exactly)."""
+    through a inside the variety.
+
+    The curves through a of degree at most d-1 are the points b of V(I),
+    I the degree-(d-1) ansatz ideal in the unknown coefficients, and
+    b = 0 (the constant curve) is always one of them.  So the proof holds
+    iff V(I) = {0}, that is iff I is zero-dimensional and every unknown
+    is nilpotent in C[b]/I.  One grevlex basis decides both (Cox, Little
+    & O'Shea, Ideals, Varieties, and Algorithms, ch. 5 sec. 3):
+    I is zero-dimensional iff some leading monomial is a pure power of
+    each unknown, and then C[b]/I has dimension D, the number of
+    standard monomials.  An unknown is nilpotent iff its D-th power is
+    in I, which repeated squaring of normal forms decides exactly.  The
+    zero ideal (every coefficient vector is a curve) gives False, the
+    unit ideal True."""
     if d <= 1:
         raise PreconditionError("no_smaller_curve needs d >= 2 (degree d-1 curves exist only for d-1 >= 1)")
     system = ansatz_system(variety, a, d - 1, mode="complex")
-    for row in system.unknowns:
-        for nm in row:
-            if not vanishes_on(system.bctx.var(nm), system.ideal):
-                return False
+    bctx = system.bctx
+    order = bctx.order
+    basis = system.ideal.groebner()
+    if not basis:
+        return False
+    if system.ideal.is_unit():
+        return True
+    lms = [g.leading_monomial(order) for g in basis]
+    n = bctx.arity
+    if not all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(n)):
+        return False
+    D = _standard_monomial_count(lms, n)
+    for nm in bctx.names:
+        r = reduce_poly(bctx.var(nm), basis, order)
+        power = 1
+        while power < D and r:
+            r = reduce_poly(r * r, basis, order)
+            power *= 2
+        if r:
+            return False
     return True
 
 

@@ -345,7 +345,7 @@ class UniPoly:
     __slots__ = ("coeffs", "m")
 
     def __init__(self, coeffs, m=None):
-        coeffs = [tuple(Q(c) for c in vec) for vec in coeffs]
+        coeffs = [tuple(c if isinstance(c, Q) else Q(c) for c in vec) for vec in coeffs]
         if coeffs:
             widths = {len(v) for v in coeffs}
             if len(widths) != 1:

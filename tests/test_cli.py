@@ -227,6 +227,17 @@ class TestExitTaxonomy:
         assert code == 5
         assert report["result"]["runs"][0]["status"] == "diverged"
 
+    def test_unexpected_exception_is_1(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr("nonproper.cli.sf_compute", broken)
+        code, report, err = run_cli(capsys, "sf", str(PROBLEMS / "graph_twist_d2.json"), "--quiet")
+        assert code == 1
+        assert report is None
+        assert err == "internal error: RuntimeError: engine bug\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("cmd, flag, value", [
         ("certify", "--samples", "-1"), ("certify", "--samples", "0"),
         ("certify", "--degree", "0"), ("certify", "--degree", "-2"),

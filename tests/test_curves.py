@@ -27,10 +27,11 @@ from nonproper import (
     verify_curve_pointwise,
 )
 from nonproper.curves import compose_scalar
+from nonproper.groebner import vanishes_on
 from nonproper.orders import LEX
 from nonproper.unipoly import UniPoly
 
-from conftest import small_fractions
+from conftest import mpolys, small_fractions, small_nonzero
 from sampling import images_mutually_close
 
 Y12 = Context(("y1", "y2"), LEX)
@@ -141,6 +142,62 @@ class TestVerifyCurve:
         assert not verify_curve_pointwise(PARABOLA, curve([0, 1], [0, 1]))
 
 
+def rabinowitsch_no_smaller_curve(variety, a, d):
+    """Reference minimality proof: every unknown coefficient of the
+    degree-(d-1) ansatz vanishes on the ansatz ideal's zero set, decided
+    by one Rabinowitsch radical-membership basis per unknown."""
+    system = ansatz_system(variety, a, d - 1, mode="complex")
+    return all(
+        vanishes_on(system.bctx.var(nm), system.ideal)
+        for row in system.unknowns
+        for nm in row
+    )
+
+
+def first_pattern_curve(variety, a, d, mode="complex", inequalities=()):
+    """Reference pattern search: the first verified a +- t^p * e_i in
+    (power, coordinate, sign) order, every coordinate tried."""
+    m = variety.ctx.arity
+    for power in range(1, d + 1):
+        for i in range(m):
+            for sign in (1, -1):
+                coords = [[a[k]] for k in range(m)]
+                coords[i] = [a[i]] + [0] * (power - 1) + [sign]
+                c = ParametricCurve.from_coordinates(coords, mode)
+                if verify_curve(variety, inequalities, c, a, d, mode).ok:
+                    return c
+    return None
+
+
+@st.composite
+def plane_curve_cases(draw):
+    """(variety, base point, d): y1^p - c*y2^q through a point of its
+    monomial parametrization, a line through a drawn point, the axis
+    y1 = 0 or the cross y1*y2 at the origin, or a drawn curve g - g(a)."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    kind = draw(st.sampled_from(["binomial", "line", "axis", "cross", "drawn"]))
+    y1, y2 = Y12.var("y1"), Y12.var("y2")
+    if kind == "binomial":
+        p = draw(st.integers(min_value=1, max_value=4))
+        q = draw(st.integers(min_value=1, max_value=4))
+        k, l = draw(small_nonzero), draw(small_nonzero)
+        u = draw(small_fractions)
+        # y1 = k*u^q, y2 = l*u^p lies on y1^p = c*y2^q for c = k^p / l^q
+        g = y1 ** p - Y12.const(k ** p / l ** q) * y2 ** q
+        return Ideal(Y12, [g]), (k * u ** q, l * u ** p), d
+    a = (draw(small_fractions), draw(small_fractions))
+    if kind == "line":
+        g = y1 - Y12.const(a[0]) - Y12.const(draw(small_fractions)) * (y2 - Y12.const(a[1]))
+    elif kind == "axis":
+        g, a = y1, (Q(0), a[1])
+    elif kind == "cross":
+        g, a = y1 * y2, (Q(0), Q(0))
+    else:
+        h = draw(mpolys(ctx=Y12, max_terms=3))
+        g = h - Y12.const(h.evaluate(a))
+    return Ideal(Y12, [g]), a, d
+
+
 class TestFindCurve:
     def test_axis(self):
         c = find_curve(AXIS, (0, 3), 1)
@@ -166,8 +223,48 @@ class TestFindCurve:
         point = V("y1", "y2")
         assert find_curve(point, (0, 0), 2) is None
 
+    @given(plane_curve_cases())
+    def test_patterns_match_unfiltered_search(self, case):
+        variety, a, d = case
+        expected = first_pattern_curve(variety, a, d)
+        if expected is not None:
+            assert find_curve(variety, a, d) == expected
+
+    def test_patterns_check_inequalities(self):
+        # at the corner of the quadrant both coordinate lines lie in the
+        # plane, but only the t^2 patterns stay nonnegative
+        ineqs = (parse_poly("y1", Y12), parse_poly("y2", Y12))
+        c = find_curve(FULL, (0, 0), 2, "real", ineqs)
+        assert c == first_pattern_curve(FULL, (0, 0), 2, "real", ineqs)
+        assert c == curve([0, 0, 1], [0], mode="real")
+
 
 class TestNoSmallerCurve:
+    @given(plane_curve_cases())
+    def test_matches_rabinowitsch_oracle(self, case):
+        variety, a, d = case
+        assert no_smaller_curve(variety, a, d) == rabinowitsch_no_smaller_curve(variety, a, d)
+
+    @pytest.mark.parametrize("variety, a, d, expected", [
+        (FULL, (0, 0), 2, False),
+        (FULL, (1, -2), 3, False),
+        (V("y1^2 + y2^2 - 1"), (1, 0), 2, True),
+        (V("y1^2 + y2^2 - 1"), (1, 0), 3, True),
+        (V("y1^2 + y2^2 - 1"), (0, -1), 3, True),
+        (V("y1*y2"), (0, 0), 3, False),
+    ])
+    def test_explicit_cases_match_oracle(self, variety, a, d, expected):
+        assert no_smaller_curve(variety, a, d) is expected
+        assert rabinowitsch_no_smaller_curve(variety, a, d) is expected
+
+    @pytest.mark.parametrize("d, expected", [(2, True), (3, False)])
+    def test_surface_in_three_variables(self, d, expected):
+        # y1 = y2^2 + y3^3 at the origin: no line, but the conic (t^2, t, 0)
+        ctx = Context(("y1", "y2", "y3"), LEX)
+        surface = V("y1 - y2^2 - y3^3", ctx=ctx)
+        assert no_smaller_curve(surface, (0, 0, 0), d) is expected
+        assert rabinowitsch_no_smaller_curve(surface, (0, 0, 0), d) is expected
+
     def test_parabola_needs_degree_2(self):
         assert no_smaller_curve(PARABOLA, (4, 2), 2)
 
