@@ -24,7 +24,6 @@ from .mpoly import (
     exact_div,
     mpoly_gcd,
     resultant,
-    resultant_cofactors,
     squarefree_full,
     squarefree_part,
 )
@@ -40,7 +39,6 @@ from .properness import (
     coordinate_min_poly_resultant,
     graph_ideal,
     image_closure,
-    is_generically_finite,
     is_proper_at,
     sf_components_resultant,
     sf_compute,

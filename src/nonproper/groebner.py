@@ -1,13 +1,30 @@
 """Buchberger Groebner engine with elimination orders.
 
+The kernel works over the integers.  Every basis element is an
+``(lm, lc, terms)`` triple: its leading monomial, its leading coefficient
+and an int term dict, divided by its content so that its coefficients are
+coprime (integer-primitive) and its leading coefficient is positive.  The
+S-polynomial of two triples scales each by the other's cofactor, lc_g/h
+and lc_f/h with h = gcd(lc_f, lc_g), so the leading terms cancel without
+division.  Reduction of a term c*m by a triple multiplies everything
+still pending, and the remainder built so far, by lc // gcd(c, lc) before
+subtracting (c // gcd(c, lc)) times the shifted element; the remainder
+therefore comes back with the integer ``scale`` it was multiplied by in
+total.  The reduced basis is unique up to one scalar per element, so
+these integer multiples change nothing but the scalars: the basis is
+canonicalized once, at the end (positive leading coefficient,
+integer-primitive), and only then built as ``MPoly``.  ``reduce_poly``
+clears the denominators of its input, reduces, and divides by the
+denominator times the scale; at every step it takes the same divisor as
+division over the rationals, so it returns the same ``Fraction``
+remainder.
+
 Normal pair selection: pending pairs wait in a heap keyed by lcm degree,
 ties broken by the active order on lcms, and each key is computed once,
 when its pair is created.  Popped pairs are pruned by the two textbook
-criteria (coprime leading monomials; chain criterion).  Every basis
-element carries its leading monomial and coefficient, computed once, as a
-``(lm, lc, poly)`` triple.  S-polynomials are built in one pass over the
-two term dicts, and reduction takes the next term from a heap on which
-each monomial's order key is computed once, when the monomial enters.
+criteria (coprime leading monomials; chain criterion).  Reduction takes
+the next term from a heap on which each monomial's order key (a flat int
+tuple, negated) is computed once, when the monomial enters.
 
 Ideals are immutable; the reduced basis per order tag is cached
 write-once, and recomputation is idempotent, so concurrent readers are
@@ -17,8 +34,10 @@ safe.
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from itertools import combinations
-from operator import add, le, sub
+from math import gcd, lcm
+from operator import add, le, neg, sub
 
 from .errors import PreconditionError
 from .mpoly import Context, MPoly
@@ -42,26 +61,45 @@ def _mono_sub(m1, m2):
 
 
 def _neg(key):
-    """Negate an order key (nested tuples of ints), so that heapq's
-    min-heap pops the largest monomial first."""
-    return -key if isinstance(key, int) else tuple(map(_neg, key))
+    """Negate a flat order key, so that heapq's min-heap pops the largest
+    monomial first."""
+    return tuple(map(neg, key))
+
+
+def _clear_denominators(p):
+    """(D, int term dict of D*p) with D the lcm of p's denominators."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+
+
+def _primitive(lm, terms):
+    """The (lm, lc, terms) triple of an int term dict divided by its
+    content, signed so that the coefficient of lm is positive."""
+    g = gcd(*terms.values())
+    if terms[lm] < 0:
+        g = -g
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+    return lm, terms[lm], terms
 
 
 def _lead(p, order):
-    """The (leading monomial, leading coefficient, polynomial) triple."""
-    lm = p.leading_monomial(order)
-    return lm, p.terms[lm], p
+    """The integer-primitive triple of a nonzero MPoly."""
+    return _primitive(p.leading_monomial(order), _clear_denominators(p)[1])
 
 
 def _reduce(terms, lead, order):
-    """Full remainder of a term dict on division by the polynomials of
-    `lead`, a list of (lm, lc, poly) triples.  The remainder's terms come
-    in descending order, so its first key is its leading monomial."""
+    """Full remainder of an int term dict on division by the elements of
+    `lead`, a list of (lm, lc, terms) triples, as (remainder, scale): the
+    remainder of scale*terms, an int term dict, and the positive int
+    scale.  The remainder's terms come in descending order, so its first
+    key is its leading monomial."""
     key = order.key
     rest = dict(terms)  # every monomial on the heap; cancelled ones hold 0
     heap = [(_neg(key(m)), m) for m in rest]
     heapq.heapify(heap)
     remainder = {}
+    scale = 1
     while heap:
         m = heapq.heappop(heap)[1]
         c = rest.pop(m)
@@ -74,18 +112,24 @@ def _reduce(terms, lead, order):
             remainder[m] = c
             continue
         shift = _mono_sub(m, lm)
-        fac = c / lc
-        for bm, bc in b.terms.items():
+        g = gcd(c, lc)
+        a = lc // g
+        if a != 1:
+            rest = {k: v * a for k, v in rest.items()}
+            remainder = {k: v * a for k, v in remainder.items()}
+            scale *= a
+        q = c // g
+        for bm, bc in b.items():
             if bm == lm:
                 continue
             mm = _mono_mul(shift, bm)
             old = rest.get(mm)
             if old is None:
-                rest[mm] = -fac * bc
+                rest[mm] = -q * bc
                 heapq.heappush(heap, (_neg(key(mm)), mm))
             else:
-                rest[mm] = old - fac * bc
-    return remainder
+                rest[mm] = old - q * bc
+    return remainder, scale
 
 
 def reduce_poly(p, basis, order):
@@ -94,21 +138,27 @@ def reduce_poly(p, basis, order):
     monomial."""
     if not basis:
         return p
-    return MPoly(p.ctx, _reduce(p.terms, [_lead(b, order) for b in basis], order))
+    den, terms = _clear_denominators(p)
+    r, scale = _reduce(terms, [_lead(b, order) for b in basis], order)
+    den *= scale
+    return MPoly(p.ctx, {m: Fraction(c, den) for m, c in r.items()})
 
 
 def _spoly_terms(f, g):
-    """Term dict of the S-polynomial of two (lm, lc, poly) triples."""
+    """Int term dict of the S-polynomial of two (lm, lc, terms) triples,
+    each scaled by the other's cofactor of gcd(lc_f, lc_g)."""
     lf, cf, pf = f
     lg, cg, pg = g
+    h = gcd(cf, cg)
+    af, ag = cg // h, cf // h
     L = _lcm(lf, lg)
     sf, sg = _mono_sub(L, lf), _mono_sub(L, lg)
-    out = {_mono_mul(sf, m): c / cf for m, c in pf.terms.items() if m != lf}
-    for m, c in pg.terms.items():
+    out = {_mono_mul(sf, m): af * c for m, c in pf.items() if m != lf}
+    for m, c in pg.items():
         if m == lg:
             continue
         mm = _mono_mul(sg, m)
-        s = out.get(mm, 0) - c / cg
+        s = out.get(mm, 0) - ag * c
         if s:
             out[mm] = s
         else:
@@ -116,17 +166,14 @@ def _spoly_terms(f, g):
     return out
 
 
-def spoly(f, g, order):
-    return MPoly(f.ctx, _spoly_terms(_lead(f, order), _lead(g, order)))
-
-
 def buchberger(gens, order):
     """Reduced Groebner basis, canonicalized and sorted by decreasing
     leading monomial.  The unit ideal yields [1]; the zero ideal []."""
-    G = [_lead(g.monic(order), order) for g in gens if not g.is_zero()]
-    if not G:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    ctx = G[0][2].ctx
+    ctx = gens[0].ctx
+    G = [_lead(g, order) for g in gens]
     key = order.key
     pairs = set()  # pending pairs, the record the chain criterion reads
     queue = []  # heap of (lcm degree, order key of lcm, i, j, lcm)
@@ -154,11 +201,9 @@ def buchberger(gens, order):
             for k, (lmk, _, _) in enumerate(G)
         ):
             continue
-        r = _reduce(_spoly_terms(G[i], G[j]), G, order)
+        r = _reduce(_spoly_terms(G[i], G[j]), G, order)[0]
         if r:
-            lm = next(iter(r))
-            lc = r[lm]
-            G.append((lm, 1, MPoly(ctx, {m: c / lc for m, c in r.items()})))
+            G.append(_primitive(next(iter(r)), r))
             add_pairs(len(G) - 1)
 
     # minimalize
@@ -167,11 +212,12 @@ def buchberger(gens, order):
         if not any(j != i and _divides(G[j][0], G[i][0]) and (j in keep or j > i) for j in range(len(G))):
             keep.append(i)
     minimal = [G[i] for i in keep]
-    # interreduce fully; each leading term survives, so each stays monic
+    # interreduce fully; each leading term survives, so canonicalizing
+    # once (content, sign) gives the canonical form of each element
     out = []
     for i, (lm, _, g) in enumerate(minimal):
-        r = _reduce(g.terms, minimal[:i] + minimal[i + 1:], order)
-        out.append((key(lm), MPoly(ctx, r).canonical(order)))
+        r = _reduce(g, minimal[:i] + minimal[i + 1:], order)[0]
+        out.append((key(lm), MPoly(ctx, _primitive(lm, r)[2])))
     out.sort(key=lambda t: t[0], reverse=True)
     return [g for _, g in out]
 
@@ -181,7 +227,7 @@ def is_groebner(basis, order):
     lead = [_lead(b, order) for b in basis]
     for i in range(len(lead)):
         for j in range(i + 1, len(lead)):
-            if _reduce(_spoly_terms(lead[i], lead[j]), lead, order):
+            if _reduce(_spoly_terms(lead[i], lead[j]), lead, order)[0]:
                 return False
     return True
 

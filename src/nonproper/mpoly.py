@@ -5,7 +5,10 @@ components, ideal generators, ansatz coefficient equations.  A polynomial
 is a finite map from exponent vectors to nonzero ``Fraction`` values,
 attached to a ``Context`` (an ordered tuple of variable names plus the
 active monomial order).  Values are immutable after construction and all
-operations are pure, so concurrent reads are always safe.
+operations are pure, so concurrent reads are always safe.  The Groebner
+kernel (``groebner.py``) is the one exception to ``Fraction`` values: it
+works on bare term dicts with int values, integer-primitive multiples of
+these polynomials, and builds an ``MPoly`` only for its results.
 
 Canonical form: an integer-primitive scalar multiple with positive leading
 coefficient under the active order.  Golden-value tests compare canonical
@@ -83,7 +86,8 @@ class MPoly:
         clean = {}
         n = ctx.arity
         for mono, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             if len(mono) != n or any(e < 0 for e in mono):
@@ -353,12 +357,6 @@ class MPoly:
         if self.leading_coeff(order) < 0:
             s = -s
         return MPoly(self.ctx, {m: c * s for m, c in self.terms.items()})
-
-    def monic(self, order=None):
-        if not self.terms:
-            return self
-        lc = self.leading_coeff(order)
-        return MPoly(self.ctx, {m: c / lc for m, c in self.terms.items()})
 
     # -- printing ----------------------------------------------------------
 
@@ -640,28 +638,3 @@ def resultant(p, q, name):
     sign is pinned by the matrix layout.
     """
     return det_mpoly(sylvester_matrix(p, q, name))
-
-
-def resultant_cofactors(p, q, name):
-    """(res, u, v) with res = u*p + v*q, via last-column cofactor
-    expansion of the Sylvester matrix.  Intended for small inputs."""
-    S = sylvester_matrix(p, q, name)
-    ctx = p.ctx
-    n = p.degree_in(name)
-    m = q.degree_in(name)
-    size = n + m
-    x = ctx.var(name)
-    u = ctx.zero()
-    v = ctx.zero()
-    res = ctx.zero()
-    for r in range(size):
-        minor = [row[:-1] for i, row in enumerate(S) if i != r]
-        cof = det_mpoly(minor) if size > 1 else ctx.one()
-        if (r + size - 1) % 2 == 1:
-            cof = -cof
-        res = res + S[r][-1] * cof
-        if r < n:
-            v = v + x ** (n - 1 - r) * cof
-        else:
-            u = u + x ** (size - 1 - r) * cof
-    return res, u, v

@@ -1,15 +1,19 @@
 """Monomial orders: graded reverse lexicographic, lexicographic, and
 two-block elimination orders.
 
-An order exposes ``key(exponents)``: a sortable value that is larger for
-larger monomials.  ``tag`` is a stable string used for basis caching.
+An order exposes ``key(exponents)``: a flat tuple of ints that compares
+larger for larger monomials, so negating it entry by entry reverses the
+order (the Groebner kernel's heaps rely on that).  ``tag`` is a stable
+string used for basis caching.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    """(deg, -e_n, ..., -e_1)."""
+    return (sum(exps), *[-e for e in reversed(exps)])
 
 
 class MonomialOrder:
@@ -48,7 +52,9 @@ class BlockElim(MonomialOrder):
     """Eliminate the masked variables: compare their exponents grevlex
     first, then the remaining block grevlex.  Any monomial containing an
     eliminated variable dominates every monomial free of them, which is
-    what makes basis restriction compute elimination ideals.
+    what makes basis restriction compute elimination ideals.  The key is
+    the concatenation of the two grevlex keys; the first has a fixed
+    length, so comparing the concatenation compares block by block.
     """
 
     mask: tuple  # True at eliminated variable positions
@@ -58,10 +64,18 @@ class BlockElim(MonomialOrder):
         elim = ",".join(str(i) for i, b in enumerate(self.mask) if b)
         return f"block[{elim}]"
 
+    @cached_property
+    def _blocks(self):
+        """Positions of the eliminated and of the kept variables, each
+        listed last variable first."""
+        back = range(len(self.mask) - 1, -1, -1)
+        return [i for i in back if self.mask[i]], [i for i in back if not self.mask[i]]
+
     def key(self, exps):
-        first = tuple(e for e, b in zip(exps, self.mask) if b)
-        second = tuple(e for e, b in zip(exps, self.mask) if not b)
-        return (_grevlex_key(first), _grevlex_key(second))
+        first, second = self._blocks
+        f = [-exps[i] for i in first]
+        s = [-exps[i] for i in second]
+        return (-sum(f), *f, -sum(s), *s)
 
 
 GREVLEX = GrevLex()

@@ -143,15 +143,6 @@ def coordinate_min_poly(f: PolyMap, j) -> MPoly:
     return squarefree_part(best, name).canonical()
 
 
-def is_generically_finite(f: PolyMap) -> bool:
-    """True iff every source coordinate is algebraically dependent on the
-    image variables over the domain (equivalently, generic fibers are
-    finite)."""
-    return all(
-        _relations(_coordinate_elimination(f, j), name) for j, name in enumerate(f.ctx.names)
-    )
-
-
 @dataclass(frozen=True)
 class CoordinateData:
     """Per-coordinate elimination result: the relation, its leading

@@ -1,3 +1,7 @@
+import heapq
+from fractions import Fraction
+from operator import add, le, sub
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from nonproper import (
     Context,
     Ideal,
+    MPoly,
     dimension,
     eliminate,
     groebner,
@@ -13,7 +18,7 @@ from nonproper import (
     parse_poly,
     vanishes_on,
 )
-from nonproper.groebner import reduce_poly
+from nonproper.groebner import _lead, _reduce, _spoly_terms, buchberger, reduce_poly
 from nonproper.orders import GREVLEX, LEX, block_order
 
 from conftest import mpolys
@@ -175,3 +180,219 @@ class TestDimension:
 
     def test_point(self):
         assert dimension(ideal(Y12, "y1", "y2")) == 0
+
+
+# -- the rational kernel the integer one replaced, kept as an oracle ----------
+#
+# Division over Q with monic basis elements, and the nested order keys
+# ((deg, (-e_n, ..., -e_1)) for grevlex, a pair of those for block orders)
+# that the flat keys replaced.  The integer kernel must reproduce it exactly.
+
+
+def _nested_grevlex(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def nested_key(order, exps):
+    if order.tag == "lex":
+        return tuple(exps)
+    if order.tag == "grevlex":
+        return _nested_grevlex(exps)
+    first = tuple(e for e, b in zip(exps, order.mask) if b)
+    second = tuple(e for e, b in zip(exps, order.mask) if not b)
+    return (_nested_grevlex(first), _nested_grevlex(second))
+
+
+def _nested_neg(key):
+    return -key if isinstance(key, int) else tuple(map(_nested_neg, key))
+
+
+def _fraction_lead(p, order):
+    lm = max(p.terms, key=lambda m: nested_key(order, m))
+    return lm, p.terms[lm], p
+
+
+def _fraction_reduce(terms, lead, order):
+    rest = dict(terms)
+    heap = [(_nested_neg(nested_key(order, m)), m) for m in rest]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = rest.pop(m)
+        if not c:
+            continue
+        for lm, lc, b in lead:
+            if all(map(le, lm, m)):
+                break
+        else:
+            remainder[m] = c
+            continue
+        shift = tuple(map(sub, m, lm))
+        fac = c / lc
+        for bm, bc in b.terms.items():
+            if bm == lm:
+                continue
+            mm = tuple(map(add, shift, bm))
+            old = rest.get(mm)
+            if old is None:
+                rest[mm] = -fac * bc
+                heapq.heappush(heap, (_nested_neg(nested_key(order, mm)), mm))
+            else:
+                rest[mm] = old - fac * bc
+    return remainder
+
+
+def fraction_reduce(p, basis, order):
+    if not basis:
+        return p
+    return MPoly(p.ctx, _fraction_reduce(p.terms, [_fraction_lead(b, order) for b in basis], order))
+
+
+def _fraction_spoly_terms(f, g):
+    lf, cf, pf = f
+    lg, cg, pg = g
+    L = tuple(map(max, lf, lg))
+    sf, sg = tuple(map(sub, L, lf)), tuple(map(sub, L, lg))
+    out = {tuple(map(add, sf, m)): c / cf for m, c in pf.terms.items() if m != lf}
+    for m, c in pg.terms.items():
+        if m == lg:
+            continue
+        mm = tuple(map(add, sg, m))
+        s = out.get(mm, 0) - c / cg
+        if s:
+            out[mm] = s
+        else:
+            del out[mm]
+    return out
+
+
+def _monic(p, order):
+    lc = _fraction_lead(p, order)[1]
+    return MPoly(p.ctx, {m: c / lc for m, c in p.terms.items()})
+
+
+def fraction_buchberger(gens, order):
+    G = [_fraction_lead(_monic(g, order), order) for g in gens if not g.is_zero()]
+    if not G:
+        return []
+    ctx = G[0][2].ctx
+    pairs = set()
+    queue = []
+
+    def add_pairs(new):
+        for t in range(new):
+            L = tuple(map(max, G[t][0], G[new][0]))
+            pairs.add((t, new))
+            heapq.heappush(queue, (sum(L), nested_key(order, L), t, new, L))
+
+    for new in range(1, len(G)):
+        add_pairs(new)
+    while queue:
+        _, _, i, j, L = heapq.heappop(queue)
+        pairs.discard((i, j))
+        if L == tuple(map(add, G[i][0], G[j][0])):
+            continue
+        if any(
+            k != i and k != j
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            and all(map(le, lmk, L))
+            for k, (lmk, _, _) in enumerate(G)
+        ):
+            continue
+        r = _fraction_reduce(_fraction_spoly_terms(G[i], G[j]), G, order)
+        if r:
+            lm = next(iter(r))
+            lc = r[lm]
+            G.append((lm, 1, MPoly(ctx, {m: c / lc for m, c in r.items()})))
+            add_pairs(len(G) - 1)
+    keep = []
+    for i in range(len(G)):
+        if not any(j != i and all(map(le, G[j][0], G[i][0])) and (j in keep or j > i)
+                   for j in range(len(G))):
+            keep.append(i)
+    minimal = [G[i] for i in keep]
+    out = []
+    for i, (lm, _, g) in enumerate(minimal):
+        r = _fraction_reduce(g.terms, minimal[:i] + minimal[i + 1:], order)
+        out.append((nested_key(order, lm), MPoly(ctx, r).canonical(order)))
+    out.sort(key=lambda t: t[0], reverse=True)
+    return [g for _, g in out]
+
+
+NAMES = ("x", "y", "z", "w")
+ORDER_KINDS = ("lex", "grevlex", "block")
+# mostly non-integer: the integer kernel must clear denominators correctly
+ratios = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda q: q != 0)
+
+
+@st.composite
+def orders(draw, kind, n):
+    if kind == "lex":
+        return LEX
+    if kind == "grevlex":
+        return GREVLEX
+    elim = draw(st.lists(st.sampled_from(NAMES[:n]), min_size=1, max_size=n - 1, unique=True))
+    return block_order(NAMES[:n], elim)
+
+
+@st.composite
+def rational_polys(draw, ctx, max_terms=3, max_deg=2):
+    mono = st.tuples(*[st.integers(min_value=0, max_value=max_deg)] * ctx.arity)
+    mono = mono.filter(lambda m: sum(m) <= max_deg)
+    terms = draw(st.dictionaries(mono, ratios, min_size=1, max_size=max_terms))
+    return MPoly(ctx, terms)
+
+
+@st.composite
+def kernel_cases(draw, kind, max_gens=3):
+    """(order, context, polynomials of total degree at most 2) in 2 to 4
+    variables."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    ctx = Context(NAMES[:n])
+    order = draw(orders(kind, n))
+    polys = draw(st.lists(rational_polys(ctx), min_size=1, max_size=max_gens))
+    return order, ctx, polys
+
+
+class TestIntegerKernelOracle:
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    def test_buchberger_matches_fraction_kernel(self, kind, data):
+        order, _, gens = data.draw(kernel_cases(kind))
+        assert buchberger(gens, order) == fraction_buchberger(gens, order)
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    def test_reduce_poly_matches_fraction_kernel(self, kind, data):
+        # the divisors are arbitrary, usually not a Groebner basis
+        order, ctx, divisors = data.draw(kernel_cases(kind))
+        p = data.draw(rational_polys(ctx, max_terms=6, max_deg=4))
+        r = reduce_poly(p, divisors, order)
+        assert r.terms == fraction_reduce(p, divisors, order).terms
+        assert all(type(c) is Fraction for c in r.terms.values())
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    def test_flat_keys_compare_like_nested_keys(self, kind, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        order = data.draw(orders(kind, n)) if n > 1 else (LEX if kind == "lex" else GREVLEX)
+        exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+        a, b = data.draw(exps), data.draw(exps)
+        fa, fb = order.key(a), order.key(b)
+        na, nb = nested_key(order, a), nested_key(order, b)
+        assert all(type(k) is int for k in fa)
+        assert (fa < fb, fa == fb) == (na < nb, na == nb)
+
+    @given(data=st.data())
+    def test_kernel_stays_in_integers(self, data):
+        order, ctx, gens = data.draw(kernel_cases("grevlex", max_gens=2))
+        lead = [_lead(g, order) for g in gens]
+        for lm, lc, terms in lead:
+            assert lc > 0 and all(type(c) is int for c in terms.values())
+        if len(lead) == 2:
+            s = _spoly_terms(*lead)
+            r, scale = _reduce(s, lead, order)
+            assert type(scale) is int and scale > 0
+            assert all(type(c) is int for c in (*s.values(), *r.values()))

@@ -8,10 +8,10 @@ from nonproper import (
     mpoly_gcd,
     parse_poly,
     resultant,
-    resultant_cofactors,
     squarefree_full,
     squarefree_part,
 )
+from nonproper.mpoly import det_mpoly, sylvester_matrix
 from nonproper.orders import LEX
 
 from conftest import mpolys, small_fractions
@@ -19,6 +19,31 @@ from conftest import mpolys, small_fractions
 XY = Context(("x", "y"))
 XYLEX = Context(("x", "y"), LEX)
 Y12 = Context(("y1", "y2"), LEX)
+
+
+def resultant_cofactors(p, q, name):
+    """(res, u, v) with res = u*p + v*q, via last-column cofactor
+    expansion of the Sylvester matrix.  Intended for small inputs."""
+    S = sylvester_matrix(p, q, name)
+    ctx = p.ctx
+    n = p.degree_in(name)
+    m = q.degree_in(name)
+    size = n + m
+    x = ctx.var(name)
+    u = ctx.zero()
+    v = ctx.zero()
+    res = ctx.zero()
+    for r in range(size):
+        minor = [row[:-1] for i, row in enumerate(S) if i != r]
+        cof = det_mpoly(minor) if size > 1 else ctx.one()
+        if (r + size - 1) % 2 == 1:
+            cof = -cof
+        res = res + S[r][-1] * cof
+        if r < n:
+            v = v + x ** (n - 1 - r) * cof
+        else:
+            u = u + x ** (size - 1 - r) * cof
+    return res, u, v
 
 
 def P(text, ctx=XY):

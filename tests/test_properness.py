@@ -12,7 +12,6 @@ from nonproper import (
     dimension,
     graph_ideal,
     image_closure,
-    is_generically_finite,
     is_proper_at,
     parse_poly,
     sf_components_resultant,
@@ -21,10 +20,20 @@ from nonproper import (
     vanishes_on,
 )
 from nonproper.orders import LEX
+from nonproper.properness import _coordinate_elimination, _relations
 
 C2 = Context(("x1", "x2"))
 C3 = Context(("x1", "x2", "x3"))
 CXY = Context(("x", "y"))
+
+
+def is_generically_finite(f):
+    """True iff every source coordinate is algebraically dependent on the
+    image variables over the domain (equivalently, generic fibers are
+    finite)."""
+    return all(
+        _relations(_coordinate_elimination(f, j), name) for j, name in enumerate(f.ctx.names)
+    )
 
 
 def pmap(ctx, *comps, domain=None, mode="complex"):
