@@ -47,7 +47,7 @@ def main():
             verified = rationalize_verify(trace, sf_compute(f))
             print(f"  exact limit curve: {verified.curve}")
             print(f"  decomposes through inner of degree "
-                  f"{len(verified.inner.scalar()) - 1}; outer degree "
+                  f"{len(verified.inner) - 1}; outer degree "
                   f"{verified.outer_degree} (deg f - 1 = {f.degree - 1})")
         print()
 

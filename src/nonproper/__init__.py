@@ -28,8 +28,8 @@ from .mpoly import (
     squarefree_part,
 )
 from .parser import parse_poly
-from .unipoly import IsolatingInterval, UniPoly, nonneg_on_line, real_roots
-from .groebner import Ideal, dimension, eliminate, groebner, is_groebner, normal_form, vanishes_on
+from .unipoly import IsolatingInterval, nonneg_on_line, real_roots
+from .groebner import Ideal, dimension, eliminate, is_groebner, vanishes_on
 from .properness import (
     BOUND_MODES,
     CoordinateData,

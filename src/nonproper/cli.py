@@ -256,10 +256,10 @@ def cmd_decompose(args, prob):
         outer, inner = decompose(curve.coordinate(0))
         result = {
             "kind": "decompose",
-            "outer": [format_rational(c) for c in outer.scalar()],
-            "inner": [format_rational(c) for c in inner.scalar()],
-            "outer_degree": max(len(outer.scalar()) - 1, 0),
-            "inner_degree": max(len(inner.scalar()) - 1, 0),
+            "outer": [format_rational(c) for c in outer],
+            "inner": [format_rational(c) for c in inner],
+            "outer_degree": max(len(outer) - 1, 0),
+            "inner_degree": max(len(inner) - 1, 0),
         }
         _say(args, f"outer coefficients {result['outer']}, inner {result['inner']}")
     else:
@@ -267,9 +267,9 @@ def cmd_decompose(args, prob):
         result = {
             "kind": "common_inner",
             "outer": render_curve(outer),
-            "inner": [format_rational(c) for c in inner.scalar()],
+            "inner": [format_rational(c) for c in inner],
             "outer_degree": outer.effective_degree,
-            "inner_degree": max(len(inner.scalar()) - 1, 0),
+            "inner_degree": max(len(inner) - 1, 0),
         }
         _say(args, f"outer {outer}, inner coefficients {result['inner']}")
     report = make_report("decompose", prob.digest(), result, [],
@@ -414,7 +414,7 @@ def main(argv=None):
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing or unreadable input or output path
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as e:

@@ -19,9 +19,8 @@ from .mpoly import Context, MPoly, resultant
 from .orders import GREVLEX, LEX
 from .unipoly import (
     Q,
-    UniPoly,
-    nonneg_on_line_list,
-    real_roots_list,
+    nonneg_on_line,
+    real_roots,
     uadd,
     ucontent_primitive,
     udeg,
@@ -56,7 +55,9 @@ def eval_at_tpolys(p, coords, zero, one):
 @dataclass(frozen=True)
 class ParametricCurve:
     """Polynomial map from the line into m-space with exact rational
-    coefficients; coefficient i is the length-m vector of t^i."""
+    coefficients; coefficient i is the length-m vector of t^i.  This is
+    the one vector-valued polynomial in t: covering curves, tracker image
+    curves, and (with m = 1) compositions p(curve(t))."""
 
     m: int
     degree_bound: int
@@ -72,11 +73,12 @@ class ParametricCurve:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def from_coordinates(cls, coords, mode="complex", degree_bound=None):
-        coords = [utrim([Q(c) for c in cs]) or [Q(0)] for cs in coords]
+    def from_coordinates(cls, coords, mode="complex"):
+        """The curve with the given coordinate coefficient lists, padded to
+        a common length; trailing zero vectors are trimmed, so either the
+        degree bound is 0 or the top vector is nonzero."""
+        coords = [utrim([c if isinstance(c, Q) else Q(c) for c in cs]) or [Q(0)] for cs in coords]
         d = max(len(cs) - 1 for cs in coords)
-        if degree_bound is not None:
-            d = max(d, degree_bound)
         vecs = [tuple(cs[i] if i < len(cs) else Q(0) for cs in coords) for i in range(d + 1)]
         return cls(len(coords), d, tuple(vecs), mode)
 
@@ -95,6 +97,9 @@ class ParametricCurve:
 
     def is_constant(self):
         return self.effective_degree == 0
+
+    def is_zero(self):
+        return not any(any(vec) for vec in self.coeffs)
 
     def eval(self, t):
         t = Q(t)
@@ -134,15 +139,14 @@ class ParametricCurve:
 
 
 def substitute_curve(p, curve):
-    """p(curve(t)) expanded exactly in t, as a scalar UniPoly."""
+    """p(curve(t)) expanded exactly in t, as a one-coordinate curve."""
     if p.ctx.arity != curve.m:
         raise PreconditionError(
             f"ambient dimension mismatch: polynomial in {p.ctx.arity} variables, curve in {curve.m}"
         )
     coords = [curve.coordinate(i) + [] for i in range(curve.m)]
     coords = [cs or [Q(0)] for cs in coords]
-    out = eval_at_tpolys(p, coords, Q(0), Q(1))
-    return UniPoly.from_scalar(out)
+    return ParametricCurve.from_coordinates([eval_at_tpolys(p, coords, Q(0), Q(1))])
 
 
 def is_unbounded(curve):
@@ -317,8 +321,7 @@ def verify_curve(variety, inequalities, curve, a=None, d=None, mode="complex"):
     ineq_ok = True
     if mode == "real":
         for h in inequalities:
-            comp = substitute_curve(h, curve)
-            if not nonneg_on_line_list(comp.scalar()):
+            if not nonneg_on_line(substitute_curve(h, curve).coordinate(0)):
                 ineq_ok = False
                 failing = failing or str(h)
                 break
@@ -366,10 +369,7 @@ def _rational_roots(cs):
     if udeg(cs) == 0:
         return roots
     _, prim = ucontent_primitive(cs)
-    den = 1
-    for c in prim:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in prim]
+    ints = [c.numerator for c in prim]
     a0, an = abs(ints[0]), abs(ints[-1])
 
     def divisors(v):
@@ -460,12 +460,12 @@ def _ansatz_solutions(system, seed=0, node_budget=4000, max_solutions=60):
     yield from rec(len(names) - 1, {})
 
 
-def _curve_from_solution(system, solution):
+def _curve_from_solution(system, solution, mode):
     coords = []
     for i in range(system.variety.ctx.arity):
         cs = [system.base[i]] + [solution[nm] for nm in system.unknowns[i]]
         coords.append(cs)
-    return ParametricCurve.from_coordinates(coords, system.mode, degree_bound=None)
+    return ParametricCurve.from_coordinates(coords, mode)
 
 
 def _pattern_candidates(coordinates, a, d):
@@ -515,9 +515,7 @@ def find_curve(variety, a, d, mode="complex", inequalities=(), seed=0):
             return curve
     system = ansatz_system(variety, a, d, mode="complex")
     for solution in _ansatz_solutions(system, seed=seed):
-        curve = ParametricCurve.from_coordinates(
-            [cs for cs in _curve_from_solution(system, solution).coordinates()], mode
-        )
+        curve = _curve_from_solution(system, solution, mode)
         if curve.is_constant():
             continue
         if verify_curve(variety, inequalities, curve, a, d, mode).ok:
@@ -698,10 +696,11 @@ def compose_scalar(f, g):
 
 
 def decompose(u):
-    """Write u = outer(inner) with inner of maximal degree among proper
-    decompositions, inner monic with inner(0) = 0; (u, t) when u is
-    indecomposable.  Exact round-trip guaranteed."""
-    cs = u.scalar() if isinstance(u, UniPoly) else utrim([Q(c) for c in u])
+    """Write the coefficient list u = outer(inner) with inner of maximal
+    degree among proper decompositions, inner monic with inner(0) = 0;
+    returns the two coefficient lists, (u, t) when u is indecomposable.
+    Exact round-trip guaranteed."""
+    cs = utrim([Q(c) for c in u])
     n = udeg(cs)
     if n < 1:
         raise PreconditionError("cannot decompose a constant polynomial")
@@ -714,13 +713,14 @@ def decompose(u):
             fhat = [d[0] if d else Q(0) for d in digits]
             outer = [c * lc for c in fhat]
             if compose_scalar(outer, g) == cs:
-                return UniPoly.from_scalar(outer), UniPoly.from_scalar(g)
-    return UniPoly.from_scalar(cs), UniPoly.from_scalar([Q(0), Q(1)])
+                return outer, g
+    return cs, [Q(0), Q(1)]
 
 
 def common_inner(curve):
     """The maximal-degree monic g with g(0) = 0 such that every curve
-    coordinate factors through g; returns (outer curve, inner)."""
+    coordinate factors through g; returns (outer curve, inner coefficient
+    list)."""
     coords = curve.coordinates()
     noncon = [cs for cs in coords if udeg(cs) >= 1]
     if not noncon:
@@ -747,8 +747,8 @@ def common_inner(curve):
             outers.append(fi)
         if ok:
             outer_curve = ParametricCurve.from_coordinates(outers, curve.mode)
-            return outer_curve, UniPoly.from_scalar(g)
-    return curve, UniPoly.from_scalar([Q(0), Q(1)])
+            return outer_curve, g
+    return curve, [Q(0), Q(1)]
 
 
 # -- real image covering ---------------------------------------------------------------
@@ -774,7 +774,7 @@ def _min_of_even_poly(g):
     cands = _rational_roots(utrim([Q(c) for c in rcoeffs]))
     for c in sorted(cands):
         shifted = usub(g, [c])
-        if nonneg_on_line_list(shifted) and real_roots_list(shifted):
+        if nonneg_on_line(shifted) and real_roots(shifted):
             return c
     raise PreconditionError(
         "the minimum of the inner polynomial is irrational; the degree-2 "
@@ -797,8 +797,7 @@ def cover_image_real(curve):
         raise PreconditionError("cover_image_real requires a real-mode curve")
     if curve.is_constant():
         raise PreconditionError("cannot cover the image of a constant curve")
-    outer, inner = common_inner(curve)
-    g = inner.scalar()
+    outer, g = common_inner(curve)
     if udeg(g) % 2 == 1:
         return ParametricCurve.from_coordinates(outer.coordinates(), "real")
     gamma = _min_of_even_poly(g)

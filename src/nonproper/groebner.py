@@ -288,17 +288,6 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def groebner(I, order=None):
-    """Reduced Groebner basis of an ideal under the given order."""
-    return I.groebner(order)
-
-
-def normal_form(p, I, order=None):
-    """Remainder of p on division by the reduced basis; zero iff p is in
-    the ideal."""
-    return I.normal_form(p, order)
-
-
 def eliminate(I, keep):
     """Generators of the elimination ideal in the kept variables.
 

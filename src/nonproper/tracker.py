@@ -30,7 +30,7 @@ from fractions import Fraction
 from .curves import ParametricCurve, common_inner, substitute_curve
 from .errors import NonproperError, PreconditionError, VerificationError
 from .rationals import snap_rational
-from .unipoly import Q, UniPoly
+from .unipoly import Q
 
 
 class ConstantCurveError(NonproperError):
@@ -77,7 +77,8 @@ def image_curve(f, base, mode="radial"):
     exactly the factor (1-t)^j, so f along the line is
     sum_j g_j * (1-t)^j, where g_j is the sum of the terms of w-degree j
     evaluated at the base point.  Each monomial is evaluated once and the
-    coefficient of t^i is (-1)^i * sum_j C(j, i) * g_j.
+    coefficient of t^i is (-1)^i * sum_j C(j, i) * g_j.  Returns the
+    curve with trailing zero coefficient vectors trimmed.
     """
     base = [Q(x) for x in base]
     if len(base) != f.n:
@@ -108,7 +109,10 @@ def image_curve(f, base, mode="radial"):
             Q((-1) ** i * sum(math.comb(j, i) * n for j, n in nums if j >= i), den)
             for i in range(depth)
         ])
-    return UniPoly(zip(*cols), m=f.m)
+    rows = list(zip(*cols))
+    while len(rows) > 1 and not any(rows[-1]):
+        rows.pop()
+    return ParametricCurve(f.m, len(rows) - 1, tuple(rows))
 
 
 def norm_objective(norms2, lam):
@@ -121,13 +125,10 @@ def unit_normalize(coeffs):
     """(lam, normalized) with normalized = c_i * lam^i of unit Euclidean
     norm, lam > 0 solved by bracket doubling plus bisection.
 
-    ``coeffs`` is a UniPoly or a sequence of coefficient rows; the result
-    rows are tuples of complex.  Requires the constant coefficient to
-    have norm < 1 (otherwise the step is not yet in the convergence
-    regime) and some higher coefficient to be nonzero (otherwise the
-    curve is constant)."""
-    if isinstance(coeffs, UniPoly):
-        coeffs = coeffs.coeffs
+    ``coeffs`` is a sequence of coefficient rows; the result rows are
+    tuples of complex.  Requires the constant coefficient to have norm < 1
+    (otherwise the step is not yet in the convergence regime) and some
+    higher coefficient to be nonzero (otherwise the curve is constant)."""
     rows = [tuple(complex(c) for c in row) for row in coeffs]
     norms2 = [sum(a * a for a in map(abs, row)) for row in rows]
     if norms2[0] >= 1.0:
@@ -161,7 +162,7 @@ def unit_normalize(coeffs):
 @dataclass(frozen=True)
 class StepRecord:
     k: int
-    raw: UniPoly  # exact image curve, already translated by the target
+    raw: ParametricCurve  # exact image curve, already translated by the target
     lam: float
     normalized: tuple  # rows of complex, phase-aligned to the previous step
     in_regime: bool
@@ -259,7 +260,7 @@ def track(f, target, path, tol=1e-8, residual_tol=1e-6):
     for k, pt in zip(path.schedule, points):
         raw = image_curve(shifted, pt, path.kind)
         try:
-            lam, normalized = unit_normalize(raw)
+            lam, normalized = unit_normalize(raw.coeffs)
         except ConstantCurveError:
             status = "constant-curve-hit"
             steps.append(StepRecord(k, raw, float("nan"), None, False))
@@ -305,7 +306,7 @@ class VerifiedLimit:
 
     curve: ParametricCurve
     outer: ParametricCurve
-    inner: UniPoly
+    inner: list  # coefficients of the inner polynomial
 
     @property
     def outer_degree(self):

@@ -1,10 +1,11 @@
 """Univariate polynomial tools over exact rationals.
 
-``UniPoly`` is a vector-valued univariate polynomial: coefficient i is a
-length-m vector of Fractions.  With m = 1 it is a plain rational
-polynomial, and this module provides the exact real-root machinery on
-that case: Yun squarefree decomposition, Sturm chains, isolating
-intervals with multiplicities, and a global nonnegativity test.
+A polynomial in t is a plain list of coefficients in ascending powers,
+trimmed so that the last entry is nonzero ([] is the zero polynomial).
+This module provides the arithmetic on such lists and the exact
+real-root machinery: Yun squarefree decomposition, Sturm chains,
+isolating intervals with multiplicities, and a global nonnegativity
+test.  Vector-valued polynomials in t are ``curves.ParametricCurve``.
 
 Interval conventions: Sturm counts are taken on half-open intervals
 (a, b]; reported isolating intervals are closed, pairwise disjoint, have
@@ -14,6 +15,7 @@ rational, in which case the interval is the degenerate [r, r].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,11 +70,6 @@ def umul(a, b, zero=Q(0)):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return utrim(out)
-
-
-def uscale(a, s):
-    s = Q(s)
-    return utrim([c * s for c in a])
 
 
 def upow(a, e, zero=Q(0), one=Q(1)):
@@ -141,8 +138,6 @@ def ucontent_primitive(a):
     primitive part."""
     if not a:
         return Q(0), []
-    import math
-
     den = 1
     for c in a:
         den = den * c.denominator // math.gcd(den, c.denominator)
@@ -261,9 +256,6 @@ class IsolatingInterval:
     upper: Fraction
     multiplicity: int
 
-    def midpoint(self):
-        return (self.lower + self.upper) / 2
-
     def contains(self, x):
         return self.lower <= x <= self.upper
 
@@ -282,10 +274,10 @@ def _shrink(f, chain, interval):
     return IsolatingInterval(lo, hi, interval.multiplicity)
 
 
-def real_roots_list(a):
+def real_roots(a):
     """Isolating intervals with multiplicities for all distinct real
-    roots of a nonzero rational polynomial, sorted increasingly."""
-    a = utrim(a)
+    roots of a nonzero rational coefficient list, sorted increasingly."""
+    a = utrim([Q(c) for c in a])
     if not a:
         raise PreconditionError("real roots of the zero polynomial")
     if udeg(a) == 0:
@@ -317,9 +309,10 @@ def real_roots_list(a):
     return [rec[0] for rec in found]
 
 
-def nonneg_on_line_list(a):
-    """True iff the polynomial is >= 0 on all of R (zero counts as yes)."""
-    a = utrim(a)
+def nonneg_on_line(a):
+    """True iff the coefficient list is >= 0 on all of R (zero counts as
+    yes)."""
+    a = utrim([Q(c) for c in a])
     if not a:
         return True
     if udeg(a) == 0:
@@ -330,93 +323,3 @@ def nonneg_on_line_list(a):
         if mult % 2 == 1 and _isolate_squarefree(f):
             return False
     return True
-
-
-# -- the vector-valued wrapper --------------------------------------------------
-
-
-class UniPoly:
-    """Univariate polynomial whose coefficients are length-m vectors.
-
-    Trailing zero coefficient vectors are trimmed, so either the degree
-    is 0 or the top coefficient vector is nonzero.
-    """
-
-    __slots__ = ("coeffs", "m")
-
-    def __init__(self, coeffs, m=None):
-        coeffs = [tuple(c if isinstance(c, Q) else Q(c) for c in vec) for vec in coeffs]
-        if coeffs:
-            widths = {len(v) for v in coeffs}
-            if len(widths) != 1:
-                raise ValueError("ragged coefficient vectors")
-            width = widths.pop()
-            if m is not None and m != width:
-                raise ValueError("m does not match coefficient width")
-            m = width
-        elif m is None:
-            raise ValueError("empty UniPoly needs an explicit m")
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        while len(coeffs) > 1 and all(c == 0 for c in coeffs[-1]):
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [(Q(0),) * m]
-        self.coeffs = tuple(coeffs)
-        self.m = m
-
-    @classmethod
-    def from_scalar(cls, cs):
-        return cls([(Q(c),) for c in cs] or [(Q(0),)], 1)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return all(c == 0 for vec in self.coeffs for c in vec)
-
-    def scalar(self):
-        if self.m != 1:
-            raise PreconditionError("scalar view requires m = 1")
-        return utrim([vec[0] for vec in self.coeffs])
-
-    def coordinate(self, i):
-        return utrim([vec[i] for vec in self.coeffs])
-
-    def eval(self, t):
-        t = Q(t)
-        acc = [Q(0)] * self.m
-        for vec in reversed(self.coeffs):
-            acc = [a * t + c for a, c in zip(acc, vec)]
-        return tuple(acc)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPoly)
-            and self.m == other.m
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.coeffs))
-
-    def __repr__(self):
-        return f"UniPoly(m={self.m}, deg={self.degree})"
-
-
-def real_roots(u):
-    """Isolating intervals for a nonzero exact scalar UniPoly."""
-    if isinstance(u, UniPoly):
-        cs = u.scalar()
-    else:
-        cs = utrim([Q(c) for c in u])
-    if not cs:
-        raise PreconditionError("real roots of the zero polynomial")
-    return real_roots_list(cs)
-
-
-def nonneg_on_line(u):
-    """True iff u(t) >= 0 for every real t."""
-    cs = u.scalar() if isinstance(u, UniPoly) else utrim([Q(c) for c in u])
-    return nonneg_on_line_list(cs)

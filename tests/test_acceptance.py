@@ -38,7 +38,6 @@ from nonproper import (
 from nonproper.cli import main as cli_main
 from nonproper.curves import compose_scalar, decompose
 from nonproper.orders import LEX
-from nonproper.unipoly import UniPoly
 
 from sampling import images_mutually_close
 
@@ -249,16 +248,16 @@ def test_criterion_7_decomposition():
         outer = [Q(rng.randint(-5, 5)) for _ in range(do)] + [Q(rng.choice([1, 2, 3, 4, 5, -1, -2, -3, -4, -5]))]
         inner = [Q(rng.randint(-5, 5)) for _ in range(di)] + [Q(rng.choice([1, 2, 3, 4, 5, -1, -2, -3, -4, -5]))]
         comp = compose_scalar(outer, inner)
-        o2, i2 = decompose(UniPoly.from_scalar(comp))
-        if compose_scalar(o2.scalar(), i2.scalar()) != comp:
+        o2, i2 = decompose(comp)
+        if compose_scalar(o2, i2) != comp:
             ok = False
             details.append(f"case {i} failed to recompose")
             break
     cur = ParametricCurve.from_coordinates([[0, 0, 1], [0, 0, 1, 0, 1]])
     _, inner = common_inner(cur)
-    if inner.scalar() != [Q(0), Q(0), Q(1)]:
+    if inner != [Q(0), Q(0), Q(1)]:
         ok = False
-        details.append(f"common inner {inner.scalar()}")
+        details.append(f"common inner {inner}")
     record(7, ok, "; ".join(details) or
            "100 seeded composites recomposed exactly; common inner of (t^2, t^4+t^2) is t^2")
 

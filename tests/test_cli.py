@@ -102,6 +102,18 @@ class TestExitTaxonomy:
         code, *_ = run_cli(capsys, "sf", str(p), "--quiet")
         assert code == 2
 
+    def test_directory_as_problem_is_2(self, capsys, tmp_path):
+        code, report, err = run_cli(capsys, "sf", str(tmp_path), "--quiet")
+        assert code == 2
+        assert report is None
+        assert err.startswith("parse error:") and "IsADirectoryError" not in err
+
+    def test_directory_as_csv_is_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "track", str(PROBLEMS / "graph_twist_d2.json"),
+                               "--quiet", "--csv", str(tmp_path))
+        assert code == 2
+        assert err.startswith("parse error:")
+
     def test_unknown_key_is_2(self, capsys, tmp_path):
         path = write_problem(tmp_path, {"format": 1, "vars": ["x"], "mapp": ["x"]})
         code, *_ = run_cli(capsys, "sf", path, "--quiet")

@@ -29,7 +29,6 @@ from nonproper import (
 from nonproper.curves import compose_scalar
 from nonproper.groebner import vanishes_on
 from nonproper.orders import LEX
-from nonproper.unipoly import UniPoly
 
 from conftest import mpolys, small_fractions, small_nonzero
 from sampling import images_mutually_close
@@ -51,12 +50,36 @@ AXIS = V("y1")
 FULL = Ideal(Y12, [Y12.zero()])
 
 
+class TestParametricCurve:
+    def test_trims_trailing_zero_vectors(self):
+        c = curve([1, 0, 0], [2, 0])
+        assert c.degree_bound == 0
+        assert c.m == 2
+        assert c.coeffs == ((Q(1), Q(2)),)
+
+    def test_zero_curve_keeps_one_vector(self):
+        c = curve([0, 0], [])
+        assert c.degree_bound == 0
+        assert c.coeffs == ((Q(0), Q(0)),)
+        assert c.is_zero()
+        assert c.coordinate(0) == []
+
+    def test_vector_eval(self):
+        c = curve([0, 1, 2], [1])  # (t + 2t^2, 1)
+        assert c.eval(2) == (Q(10), Q(1))
+
+    def test_is_zero(self):
+        assert not curve([0], [0, 0, 3]).is_zero()
+        assert not curve([5]).is_zero()
+        assert ParametricCurve(1, 2, [[0], [0], [0]]).is_zero()
+
+
 class TestSubstituteCurve:
     def test_binomial_expansion(self):
         # p = y1*y2 along (1-t)(a, b) with a=3, b=5: ab(1-t)^2
         p = parse_poly("y1*y2", Y12)
         c = curve([3, -3], [5, -5])
-        assert substitute_curve(p, c).scalar() == [Q(15), Q(-30), Q(15)]
+        assert substitute_curve(p, c).coordinate(0) == [Q(15), Q(-30), Q(15)]
 
     def test_curve_on_parabola(self):
         p = parse_poly("y1 - y2^2", Y12)
@@ -291,26 +314,26 @@ class TestNoSmallerCurve:
 
 class TestDecompose:
     def test_even_quartic(self):
-        outer, inner = decompose(UniPoly.from_scalar([0, 0, 2, 0, 1]))
-        assert outer.scalar() == [Q(0), Q(2), Q(1)]  # s^2 + 2s
-        assert inner.scalar() == [Q(0), Q(0), Q(1)]  # t^2
+        outer, inner = decompose([0, 0, 2, 0, 1])
+        assert outer == [Q(0), Q(2), Q(1)]  # s^2 + 2s
+        assert inner == [Q(0), Q(0), Q(1)]  # t^2
 
     def test_prime_degree_indecomposable(self):
-        outer, inner = decompose(UniPoly.from_scalar([0, 0, 0, 1]))
-        assert outer.scalar() == [Q(0), Q(0), Q(0), Q(1)]
-        assert inner.scalar() == [Q(0), Q(1)]
+        outer, inner = decompose([0, 0, 0, 1])
+        assert outer == [Q(0), Q(0), Q(0), Q(1)]
+        assert inner == [Q(0), Q(1)]
 
     def test_shifted_cube(self):
         # (t^2 + 1)^3 - 5 with normalized inner t^2: outer (s+1)^3 - 5
         u = [Q(-4), Q(0), Q(3), Q(0), Q(3), Q(0), Q(1)]
-        outer, inner = decompose(UniPoly.from_scalar(u))
-        assert inner.scalar() == [Q(0), Q(0), Q(1)]
-        assert compose_scalar(outer.scalar(), inner.scalar()) == u
-        assert outer.scalar() == [Q(-4), Q(3), Q(3), Q(1)]
+        outer, inner = decompose(u)
+        assert inner == [Q(0), Q(0), Q(1)]
+        assert compose_scalar(outer, inner) == u
+        assert outer == [Q(-4), Q(3), Q(3), Q(1)]
 
     def test_constant_rejected(self):
         with pytest.raises(PreconditionError):
-            decompose(UniPoly.from_scalar([3]))
+            decompose([3])
 
     def test_seeded_roundtrip_100(self):
         rng = random.Random(20260811)
@@ -320,8 +343,8 @@ class TestDecompose:
             outer = [Q(rng.randint(-5, 5)) for _ in range(do)] + [Q(rng.choice([1, 2, 3, -1, -2]))]
             inner = [Q(rng.randint(-5, 5)) for _ in range(di)] + [Q(rng.choice([1, 2, -1]))]
             comp = compose_scalar(outer, inner)
-            o2, i2 = decompose(UniPoly.from_scalar(comp))
-            assert compose_scalar(o2.scalar(), i2.scalar()) == comp
+            o2, i2 = decompose(comp)
+            assert compose_scalar(o2, i2) == comp
 
     def test_inner_maximality(self):
         rng = random.Random(7)
@@ -330,25 +353,25 @@ class TestDecompose:
             inner = [Q(0), Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3)), Q(1)]
             outer = [Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3)), Q(rng.randint(1, 3))]
             comp = compose_scalar(outer, inner)
-            _, i2 = decompose(UniPoly.from_scalar(comp))
-            assert len(i2.scalar()) - 1 >= 3
+            _, i2 = decompose(comp)
+            assert len(i2) - 1 >= 3
 
 
 class TestCommonInner:
     def test_mixed_degrees(self):
         f, g = common_inner(curve([0, 0, 1], [0, 0, 1, 0, 1]))
-        assert g.scalar() == [Q(0), Q(0), Q(1)]
+        assert g == [Q(0), Q(0), Q(1)]
         assert f.coordinate(0) == [Q(0), Q(1)]
         assert f.coordinate(1) == [Q(0), Q(1), Q(1)]
 
     def test_cubes(self):
         f, g = common_inner(curve([0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1]))
-        assert g.scalar() == [Q(0), Q(0), Q(0), Q(1)]
+        assert g == [Q(0), Q(0), Q(0), Q(1)]
         assert f.coordinate(1) == [Q(0), Q(0), Q(1)]
 
     def test_trivial_inner(self):
         f, g = common_inner(curve([0, 1], [0, 0, 1]))
-        assert g.scalar() == [Q(0), Q(1)]
+        assert g == [Q(0), Q(1)]
 
     def test_constant_rejected(self):
         with pytest.raises(PreconditionError):
@@ -390,7 +413,7 @@ class TestCoverImageReal:
         phi = curve([0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1], mode="real")
         _, inner = common_inner(phi)
         eta = cover_image_real(phi)
-        assert eta.effective_degree == phi.effective_degree // (len(inner.scalar()) - 1)
+        assert eta.effective_degree == phi.effective_degree // (len(inner) - 1)
 
     def test_set_contract_relations_and_sampling(self):
         cases = [

@@ -13,6 +13,7 @@ import nonproper
 from nonproper import (
     ConstantCurveError,
     Context,
+    ParametricCurve,
     PathSpec,
     PolyMap,
     PreconditionError,
@@ -27,7 +28,6 @@ from nonproper import (
 )
 from nonproper.curves import eval_at_tpolys
 from nonproper.tracker import LimitTrace, StepRecord, norm_objective
-from nonproper.unipoly import UniPoly
 
 C2 = Context(("x1", "x2"))
 CXY = Context(("x", "y"))
@@ -90,10 +90,8 @@ def expanded_image_curve(f, base, mode):
     first for cylinder paths) and expand each monomial."""
     base = [Q(b) for b in base]
     coords = [[b, -b] if mode == "radial" or i == 0 else [b] for i, b in enumerate(base)]
-    rows = [eval_at_tpolys(comp, coords, Q(0), Q(1)) for comp in f.components]
-    depth = max(len(r) for r in rows)
-    return UniPoly([tuple(r[i] if i < len(r) else Q(0) for r in rows) for i in range(depth)],
-                   m=f.m)
+    return ParametricCurve.from_coordinates(
+        [eval_at_tpolys(comp, coords, Q(0), Q(1)) for comp in f.components])
 
 
 @st.composite
@@ -274,7 +272,7 @@ class TestRationalizeVerify:
         f = twist(2)
         sf = sf_compute(f)
         # synthetic trace whose final curve is (t, t): off the set
-        bad = UniPoly([(Q(0), Q(0)), (Q(1), Q(1))])
+        bad = ParametricCurve(2, 1, ((Q(0), Q(0)), (Q(1), Q(1))))
         step = StepRecord(k=2, raw=bad, lam=1.0, normalized=None, in_regime=True)
         trace = LimitTrace(
             target=(Q(0), Q(0)),
@@ -291,7 +289,7 @@ class TestRationalizeVerify:
     def test_constant_limit_rejected(self):
         f = twist(2)
         sf = sf_compute(f)
-        const = UniPoly([(Q(1), Q(1))])
+        const = ParametricCurve(2, 0, ((Q(1), Q(1)),))
         step = StepRecord(k=2, raw=const, lam=1.0, normalized=None, in_regime=True)
         trace = LimitTrace(
             target=(Q(0), Q(0)),

@@ -3,13 +3,15 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given
 
-from nonproper import PreconditionError, UniPoly, nonneg_on_line, real_roots
+from nonproper import PreconditionError, nonneg_on_line, real_roots
 from nonproper.unipoly import (
     sturm_chain,
     sturm_count,
+    udeg,
     udivmod,
     ueval,
     umul,
+    utrim,
     yun_squarefree,
 )
 
@@ -17,7 +19,7 @@ from conftest import coeff_lists
 
 
 def U(*cs):
-    return UniPoly.from_scalar([Q(c) for c in cs])
+    return [Q(c) for c in cs]
 
 
 class TestSturmOracle:
@@ -61,7 +63,7 @@ class TestSturmOracle:
     def test_clustered_roots_separate(self):
         eps = Q(1, 10**6)
         p = umul([Q(-1), Q(1)], umul([Q(-1), Q(1)], [-(1 + eps), Q(1)]))
-        roots = real_roots(UniPoly.from_scalar(p))
+        roots = real_roots(p)
         assert [r.multiplicity for r in roots] == [2, 1]
         assert roots[0].contains(1) and roots[1].contains(1 + eps)
         assert roots[0].upper < roots[1].lower
@@ -69,7 +71,7 @@ class TestSturmOracle:
     def test_mixed_multiplicities(self):
         # t^2 (t-1)^3 (t+2)
         p = umul(umul([Q(0), Q(0), Q(1)], umul([Q(-1), Q(1)], umul([Q(-1), Q(1)], [Q(-1), Q(1)]))), [Q(2), Q(1)])
-        roots = real_roots(UniPoly.from_scalar(p))
+        roots = real_roots(p)
         found = sorted((r.multiplicity, r) for r in roots)
         assert [m for m, _ in found] == [1, 2, 3]
         mults = {m: r for m, r in found}
@@ -79,24 +81,23 @@ class TestSturmOracle:
 
     @given(coeff_lists(max_degree=5))
     def test_count_bounded_by_degree(self, cs):
-        u = UniPoly.from_scalar(cs)
-        if u.is_zero():
+        u = utrim(cs)
+        if not u:
             return
         roots = real_roots(u)
-        assert sum(r.multiplicity for r in roots) <= max(u.degree, 0)
+        assert sum(r.multiplicity for r in roots) <= udeg(u)
         # closed intervals are pairwise disjoint
         for a, b in zip(roots, roots[1:]):
             assert a.upper < b.lower
 
     @given(coeff_lists(max_degree=5))
     def test_odd_multiplicity_roots_bracketed_by_sign(self, cs):
-        u = UniPoly.from_scalar(cs)
-        if u.is_zero():
+        u = utrim(cs)
+        if not u:
             return
-        scalars = u.scalar()
         for r in real_roots(u):
             if r.multiplicity % 2 == 1 and r.lower < r.upper:
-                assert ueval(scalars, r.lower) * ueval(scalars, r.upper) < 0
+                assert ueval(u, r.lower) * ueval(u, r.upper) < 0
 
 
 class TestNonneg:
@@ -109,7 +110,7 @@ class TestNonneg:
     def test_even_multiplicity_roots(self):
         # (t^2 - 1)^2: all real roots have even multiplicity
         p = umul([Q(-1), Q(0), Q(1)], [Q(-1), Q(0), Q(1)])
-        assert nonneg_on_line(UniPoly.from_scalar(p))
+        assert nonneg_on_line(p)
 
     def test_negative_constant(self):
         assert not nonneg_on_line(U(-3))
@@ -120,7 +121,7 @@ class TestNonneg:
     @given(coeff_lists(max_degree=3))
     def test_squares_are_nonnegative(self, cs):
         sq = umul(cs, cs) if any(c != 0 for c in cs) else []
-        assert nonneg_on_line(UniPoly.from_scalar(sq or [Q(0)]))
+        assert nonneg_on_line(sq)
 
 
 class TestYun:
@@ -146,20 +147,7 @@ class TestYun:
         assert [c * lead for c in prod] == p
 
 
-class TestUniPoly:
-    def test_trims_trailing_zero_vectors(self):
-        u = UniPoly([(1, 2), (0, 0)])
-        assert u.degree == 0
-        assert u.m == 2
-
-    def test_vector_eval(self):
-        u = UniPoly([(0, 1), (1, 0), (2, 0)])  # (t + 2t^2, 1)
-        assert u.eval(2) == (Q(10), Q(1))
-
-    def test_scalar_view_requires_m1(self):
-        with pytest.raises(PreconditionError):
-            UniPoly([(1, 2)]).scalar()
-
+class TestArithmetic:
     def test_divmod(self):
         q, r = udivmod([Q(-2), Q(0), Q(1)], [Q(-1), Q(1)])
         assert q == [Q(1), Q(1)]
