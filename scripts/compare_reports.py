@@ -10,7 +10,7 @@ wrote to stderr (error messages included).  The runs are:
 
 - ``nonproper examples``;
 - every ``problems/*.json`` under ``sf``, ``bounds``, ``certify``,
-  ``certify --sharpness`` and ``track``;
+  ``certify --sharpness``, ``track``, ``fixlocus`` and ``decompose``;
 - the benchmark job files of each given seed, for every workload, written
   by ``perfbench/workloads.py`` into a temporary directory (whose name is
   replaced by a fixed token in stderr, so error messages compare equal).
@@ -39,7 +39,8 @@ import nonproper  # noqa: E402
 import nonproper.cli as cli  # noqa: E402
 from workloads import WORKLOADS, write_jobs  # noqa: E402
 
-PROBLEM_COMMANDS = (["sf"], ["bounds"], ["certify"], ["certify", "--sharpness"], ["track"])
+PROBLEM_COMMANDS = (["sf"], ["bounds"], ["certify"], ["certify", "--sharpness"], ["track"],
+                    ["fixlocus"], ["decompose"])
 
 
 def fingerprint(argv, workdir):

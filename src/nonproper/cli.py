@@ -2,14 +2,16 @@
 
 Commands: sf, certify, track, decompose, fixlocus, bounds, examples.
 The machine-readable JSON report goes to stdout; a short human-readable
-rendering goes to stderr (silence it with --quiet).  Exit codes: 0
-success, 1 internal error, 2 parse error, 3 precondition violation, 4
-search failure, 5 verification failure.
+rendering goes to stderr (silence it with --quiet).  Each command takes
+only the flags it reads (``COMMANDS``); any other flag is a usage error.
+Exit codes: 0 success, 1 internal error, 2 parse or usage error, 3
+precondition violation, 4 search failure, 5 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -62,7 +64,6 @@ def _emit(report):
 
 
 def cmd_sf(args, prob):
-    t0 = time.perf_counter()
     f = prob.polymap()
     sf = sf_compute(f)
     result = {
@@ -87,8 +88,6 @@ def cmd_sf(args, prob):
         },
     }
     checks = [("generically_finite", True, ""), ("hypersurface", sf.hypersurface_ok, "")]
-    report = make_report("sf", prob.digest(), result, checks,
-                         {"total": time.perf_counter() - t0})
     if sf.is_empty:
         _say(args, "non-properness set: empty (the map is proper over its image closure)")
     else:
@@ -98,12 +97,10 @@ def cmd_sf(args, prob):
         if sf.real_superset_warning:
             _say(args, "warning: real mode reports the complex set, a superset "
                        "of the real non-properness set")
-    _emit(report)
-    return EXIT_OK
+    return result, checks, EXIT_OK
 
 
 def cmd_bounds(args, prob):
-    t0 = time.perf_counter()
     f = prob.polymap()
     bounds = {}
     skipped = {}
@@ -114,32 +111,24 @@ def cmd_bounds(args, prob):
             bounds[mode] = theorem_bound(f, mode, d1=d1)
         except PreconditionError as e:
             skipped[mode] = str(e)
-    result = {"degree": f.degree, "bounds": bounds, "skipped": skipped}
-    report = make_report("bounds", prob.digest(), result, [],
-                         {"total": time.perf_counter() - t0})
     _say(args, f"map degree {f.degree}; bound table:")
     for mode, val in bounds.items():
         _say(args, f"  {mode}: {val}")
     for mode, why in skipped.items():
         _say(args, f"  {mode}: not applicable ({why})")
-    _emit(report)
-    return EXIT_OK
+    return {"degree": f.degree, "bounds": bounds, "skipped": skipped}, [], EXIT_OK
 
 
 def cmd_certify(args, prob):
-    t0 = time.perf_counter()
     degree = args.degree if args.degree is not None else prob.degree
     if not degree:
         raise PreconditionError("certify needs a degree (problem file or --degree)")
-    samples = list(prob.sample_points())
-    if args.samples is not None:
-        samples = samples[: args.samples]
+    samples = prob.samples[: args.samples]
     if not samples:
         raise PreconditionError("certify needs sample points in the problem file")
     sharpness = prob.sharpness or args.sharpness
     if prob.map_components:
-        f = prob.polymap()
-        sf = sf_compute(f)
+        sf = sf_compute(prob.polymap())
         if sf.is_empty:
             raise SearchError("the non-properness set is empty; nothing to certify")
         target_ideal = sf.components[0]
@@ -148,7 +137,7 @@ def cmd_certify(args, prob):
         what = "first non-properness component"
     else:
         target_ideal = prob.domain_ideal()
-        inequalities = prob.inequality_polys()
+        inequalities = prob.domain_inequalities
         mode = prob.mode
         what = "domain"
     cert = certify(
@@ -178,79 +167,71 @@ def cmd_certify(args, prob):
     checks = [("all_samples_covered", cert.status == "verified", cert.status)]
     if sharpness and cert.minimality:
         checks.append(("sharpness", all(cert.minimality.values()), ""))
-    report = make_report("certify", prob.digest(), result, checks,
-                         {"total": time.perf_counter() - t0})
     _say(args, f"certificate for the {what}: {cert.status} at degree {degree}")
     for pt, c in cert.entries:
         _say(args, f"  {tuple(map(str, pt))} -> {c if c is not None else 'no curve found'}")
-    _emit(report)
-    if cert.status != "verified":
-        return EXIT_SEARCH
-    return EXIT_OK
+    return result, checks, EXIT_OK if cert.status == "verified" else EXIT_SEARCH
 
 
 def cmd_track(args, prob):
-    t0 = time.perf_counter()
     f = prob.polymap()
-    sf = sf_compute(f)
-    targets = prob.target_points()
-    paths = prob.path_specs()
+    targets = prob.targets
+    paths = prob.path_specs(args.kmax)
     if not targets or not paths:
         raise PreconditionError("track needs targets and paths in the problem file")
     if len(targets) != len(paths):
         raise PreconditionError(
             f"targets and paths pair up by index: got {len(targets)} targets, {len(paths)} paths"
         )
-    runs = []
-    checks = []
-    worst = EXIT_OK
-    for idx, (target, path) in enumerate(zip(targets, paths)):
-        trace = track(f, target, path, tol=args.tol)
-        run = {
-            "target": [format_rational(x) for x in target],
-            "kind": path.kind,
-            "schedule": list(path.schedule),
-            "status": trace.status,
-            "lambdas": [float(x) for x in trace.lambdas],
-            "lambda_growth": [float(x) for x in trace.lambda_growth()],
-            "diffs": [float(d) for d in trace.diffs],
-            "limit_estimate": [
-                [repr(complex(c)) for c in row] for row in trace.limit_estimate.coeffs
-            ],
-        }
-        checks.append((f"converged[{idx}]", trace.status == "converged", trace.status))
-        if trace.status == "converged":
-            verified = rationalize_verify(trace, sf)
-            run["verified_curve"] = render_curve(verified.curve)
-            run["outer_curve"] = render_curve(verified.outer)
-            run["outer_degree"] = verified.outer_degree
-            checks.append((f"exact_verification[{idx}]", True, ""))
-        else:
-            worst = max(worst, EXIT_VERIFY)
-        runs.append(run)
-        if args.csv:
-            _write_csv(args.csv, idx, path, trace)
-    report = make_report("track", prob.digest(), {"runs": runs}, checks,
-                         {"total": time.perf_counter() - t0})
+    with contextlib.ExitStack() as stack:
+        # open the CSV files first, so a bad path fails before any work
+        names = [args.csv] + [f"{args.csv}.{i}" for i in range(1, len(targets))]
+        csvs = [stack.enter_context(open(n, "w")) for n in names] if args.csv else []
+        sf = sf_compute(f)
+        runs = []
+        checks = []
+        worst = EXIT_OK
+        for idx, (target, path) in enumerate(zip(targets, paths)):
+            trace = track(f, target, path, tol=args.tol)
+            run = {
+                "target": [format_rational(x) for x in target],
+                "kind": path.kind,
+                "schedule": list(path.schedule),
+                "status": trace.status,
+                "lambdas": [float(x) for x in trace.lambdas],
+                "lambda_growth": [float(x) for x in trace.lambda_growth()],
+                "diffs": [float(d) for d in trace.diffs],
+                "limit_estimate": [
+                    [repr(complex(c)) for c in row] for row in trace.limit_estimate.coeffs
+                ],
+            }
+            checks.append((f"converged[{idx}]", trace.status == "converged", trace.status))
+            if trace.status == "converged":
+                verified = rationalize_verify(trace, sf)
+                run["verified_curve"] = render_curve(verified.curve)
+                run["outer_curve"] = render_curve(verified.outer)
+                run["outer_degree"] = verified.outer_degree
+                checks.append((f"exact_verification[{idx}]", True, ""))
+            else:
+                worst = max(worst, EXIT_VERIFY)
+            runs.append(run)
+            if csvs:
+                _write_csv(csvs[idx], trace)
     for run in runs:
         _say(args, f"target {run['target']}: {run['status']}"
                    + (f", verified limit {run['verified_curve']['coordinates']}"
                       if "verified_curve" in run else ""))
-    _emit(report)
-    return worst
+    return {"runs": runs}, checks, worst
 
 
-def _write_csv(base, idx, path, trace):
-    name = base if idx == 0 else f"{base}.{idx}"
-    with open(name, "w") as fh:
-        fh.write("k,lambda,diff\n")
-        diffs = [""] + [str(d) for d in trace.diffs]
-        for step, d in zip(trace.steps, diffs + [""] * len(trace.steps)):
-            fh.write(f"{step.k},{step.lam},{d}\n")
+def _write_csv(fh, trace):
+    fh.write("k,lambda,diff\n")
+    diffs = [""] + [str(d) for d in trace.diffs]
+    for step, d in zip(trace.steps, diffs + [""] * len(trace.steps)):
+        fh.write(f"{step.k},{step.lam},{d}\n")
 
 
 def cmd_decompose(args, prob):
-    t0 = time.perf_counter()
     curve = prob.curve_object()
     if curve.m == 1:
         outer, inner = decompose(curve.coordinate(0))
@@ -272,14 +253,10 @@ def cmd_decompose(args, prob):
             "inner_degree": max(len(inner) - 1, 0),
         }
         _say(args, f"outer {outer}, inner coefficients {result['inner']}")
-    report = make_report("decompose", prob.digest(), result, [],
-                         {"total": time.perf_counter() - t0})
-    _emit(report)
-    return EXIT_OK
+    return result, [], EXIT_OK
 
 
 def cmd_fixlocus(args, prob):
-    t0 = time.perf_counter()
     action = prob.one_param_action()
     fix = fixed_locus(action)
     gens = render_ideal(fix, args.order)
@@ -288,16 +265,12 @@ def cmd_fixlocus(args, prob):
         "unit_ideal": fix.is_unit(),
         "parameter_degree": action.degree_in_parameter(),
     }
-    report = make_report("fixlocus", prob.digest(), result, [],
-                         {"total": time.perf_counter() - t0})
     _say(args, "fixed locus: " + ("empty (unit ideal)" if fix.is_unit()
                                   else "V(" + ", ".join(gens) + ")"))
-    _emit(report)
-    return EXIT_OK
+    return result, [], EXIT_OK
 
 
 def cmd_examples(args, _prob):
-    t0 = time.perf_counter()
     names = args.only.split(",") if args.only else None
     matrix = []
     all_ok = True
@@ -314,23 +287,7 @@ def cmd_examples(args, _prob):
         for c in checks:
             if not c.ok:
                 _say(args, f"    failed: {c.name} {c.detail}")
-    digest = "sha256:" + hashlib.sha256("corpus".encode()).hexdigest()
-    report = make_report("examples", digest, {"matrix": matrix},
-                         [("all_pass", all_ok, "")],
-                         {"total": time.perf_counter() - t0})
-    _emit(report)
-    return EXIT_OK if all_ok else EXIT_VERIFY
-
-
-COMMANDS = {
-    "sf": (cmd_sf, True),
-    "bounds": (cmd_bounds, True),
-    "certify": (cmd_certify, True),
-    "track": (cmd_track, True),
-    "decompose": (cmd_decompose, True),
-    "fixlocus": (cmd_fixlocus, True),
-    "examples": (cmd_examples, False),
-}
+    return {"matrix": matrix}, [("all_pass", all_ok, "")], EXIT_OK if all_ok else EXIT_VERIFY
 
 
 def _count(text, lo=1, hi=None):
@@ -362,6 +319,43 @@ def _tolerance(text):
     return value
 
 
+# the options each command reads, besides --quiet; every command but
+# examples also takes a problem file
+COMMANDS = {
+    "sf": (cmd_sf, ("--order",)),
+    "bounds": (cmd_bounds, ()),
+    "certify": (cmd_certify, ("--order", "--degree", "--samples", "--seed", "--sharpness")),
+    "track": (cmd_track, ("--kmax", "--tol", "--csv")),
+    "decompose": (cmd_decompose, ()),
+    "fixlocus": (cmd_fixlocus, ("--order",)),
+    "examples": (cmd_examples, ("--only",)),
+}
+
+FLAGS = {
+    "--order": dict(choices=["lex", "grevlex"], default="lex",
+                    help="monomial order for printed polynomials"),
+    "--degree": dict(type=_count, default=None,
+                     help="override the curve degree bound (at least 1)"),
+    "--samples": dict(type=_count, default=None,
+                      help="cap the number of sample points used (at least 1)"),
+    "--kmax": dict(type=_kmax, default=None,
+                   help="override the geometric schedule length "
+                        f"({KMAX_RANGE[0]} to {KMAX_RANGE[1]})"),
+    "--tol": dict(type=_tolerance, default=1e-8,
+                  help="tracker convergence tolerance (positive, finite)"),
+    "--seed": dict(type=int, default=0,
+                   help="seed for randomized curve-search substitutions"),
+    "--sharpness": dict(action="store_true",
+                        help="also prove no smaller curve exists at each sample"),
+    "--csv": dict(default=None, help="write per-step tracker data as CSV"),
+    "--only": dict(default=None, help="comma-separated corpus entry names"),
+    "--quiet": dict(action="store_true",
+                    help="suppress the human-readable summary on stderr"),
+}
+
+_CORPUS_DIGEST = "sha256:" + hashlib.sha256(b"corpus").hexdigest()
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on first use and then reused: main only
@@ -372,45 +366,26 @@ def build_parser():
                     "curve coverings, and numeric limit-curve tracking.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, needs_file) in COMMANDS.items():
+    for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        if needs_file:
+        if name != "examples":
             p.add_argument("problem", help="problem file (JSON, format 1)")
-        p.add_argument("--order", choices=["lex", "grevlex"], default="lex",
-                       help="monomial order for printed polynomials")
-        p.add_argument("--degree", type=_count, default=None,
-                       help="override the curve degree bound (at least 1)")
-        p.add_argument("--samples", type=_count, default=None,
-                       help="cap the number of sample points used (at least 1)")
-        p.add_argument("--kmax", type=_kmax, default=None,
-                       help="override the geometric schedule length "
-                            f"({KMAX_RANGE[0]} to {KMAX_RANGE[1]})")
-        p.add_argument("--tol", type=_tolerance, default=1e-8,
-                       help="tracker convergence tolerance (positive, finite)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized curve-search substitutions")
-        p.add_argument("--sharpness", action="store_true",
-                       help="also prove no smaller curve exists at each sample")
-        p.add_argument("--csv", default=None,
-                       help="write per-step tracker data as CSV")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress the human-readable summary on stderr")
-        if name == "examples":
-            p.add_argument("--only", default=None,
-                           help="comma-separated corpus entry names")
-        p.set_defaults(fn=fn, needs_file=needs_file)
+        for flag in flags + ("--quiet",):
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        prob = None
-        if args.needs_file:
-            prob = load_problem(args.problem)
-            if args.kmax is not None:
-                prob.kmax = args.kmax
-        return args.fn(args, prob)
+        prob = load_problem(args.problem) if "problem" in args else None
+        t0 = time.perf_counter()
+        result, checks, code = args.fn(args, prob)
+        timings = {"total": time.perf_counter() - t0}
+        digest = prob.digest() if prob else _CORPUS_DIGEST
+        _emit(make_report(args.command, digest, result, checks, timings))
+        return code
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -23,7 +23,7 @@ from .curves import (
 )
 from .errors import PreconditionError
 from .groebner import vanishes_on
-from .problem import problem_from_dict
+from .problem import parse_curve, problem_from_dict
 from .properness import (
     is_proper_at,
     sf_components_resultant,
@@ -40,9 +40,6 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
-
-    def as_tuple(self):
-        return (self.name, self.ok, self.detail)
 
 
 @dataclass(frozen=True)
@@ -182,9 +179,9 @@ def _control_checks(entry, expected):
 def _real_domain_checks(entry, expected):
     prob = entry.load()
     variety = prob.domain_ideal()
-    ineqs = prob.inequality_polys()
+    ineqs = prob.domain_inequalities
     cert = certify(
-        variety, ineqs, prob.degree, prob.sample_points(), mode="real",
+        variety, ineqs, prob.degree, prob.samples, mode="real",
         sharpness=False,
     )
     checks = [Check("certificate", cert.status == "verified", cert.status)]
@@ -192,11 +189,7 @@ def _real_domain_checks(entry, expected):
     checks.append(Check("curves_unbounded", all(is_unbounded(c) for c in curves)))
     ruling = expected.get("ruling_curve")
     if ruling:
-        from .problem import problem_from_dict as _p
-
-        curve_prob = dict(entry.problem)
-        curve_prob["curve"] = ruling["curve"]
-        c = _p(curve_prob, b"").curve_object(mode="real")
+        c = parse_curve(ruling["curve"], "real")
         rep = verify_curve(variety, ineqs, c, ruling["through"], prob.degree, "real")
         checks.append(Check("ruling_verifies", rep.ok, str(rep.as_dict())))
     return checks
@@ -404,10 +397,3 @@ def run_corpus(names=None):
             continue
         out.append((entry, run_entry(entry)))
     return out
-
-
-def entry_by_name(name):
-    for entry in CORPUS:
-        if entry.name == name:
-            return entry
-    raise KeyError(name)

@@ -108,13 +108,6 @@ class ParametricCurve:
             acc = [a * t + c for a, c in zip(acc, vec)]
         return tuple(acc)
 
-    def base_point(self):
-        return self.coeffs[0]
-
-    def translate(self, delta):
-        vec0 = tuple(c + Q(d) for c, d in zip(self.coeffs[0], delta))
-        return ParametricCurve(self.m, self.degree_bound, (vec0,) + self.coeffs[1:], self.mode)
-
     def coordinate_str(self, i):
         cs = self.coordinate(i)
         pieces = []
@@ -332,15 +325,14 @@ def verify_curve(variety, inequalities, curve, a=None, d=None, mode="complex"):
     return CurveReport(eq_ok, ineq_ok, through, deg_ok, not curve.is_constant(), failing)
 
 
-def verify_curve_pointwise(variety, curve, npoints=None):
+def verify_curve_pointwise(variety, curve):
     """Independent soundness path: exact evaluation of every generator at
     rational parameter values, enough of them to pin the zero
     polynomial."""
     degs = [g.total_degree() for g in variety.generators if not g.is_zero()]
     if not degs:
         return True
-    need = max(degs) * max(curve.effective_degree, 1) + 1
-    npoints = npoints or need
+    npoints = max(degs) * max(curve.effective_degree, 1) + 1
     ts = [Q(k, 7) for k in range(-(npoints // 2), npoints - npoints // 2)]
     for g in variety.generators:
         if g.is_zero():
@@ -390,9 +382,13 @@ def _rational_roots(cs):
 
 
 _FREE_CANDIDATES = [Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-1, 2), Q(3), Q(-3), Q(0)]
+# the back-substitution search visits at most this many nodes and yields at
+# most this many solutions
+_NODE_BUDGET = 4000
+_MAX_SOLUTIONS = 60
 
 
-def _ansatz_solutions(system, seed=0, node_budget=4000, max_solutions=60):
+def _ansatz_solutions(system, seed=0):
     """Enumerate exact rational points on the ansatz ideal by triangular
     back-substitution over a lex basis, trying small rational values on
     free coefficients (then seeded random ones).  Best-effort by design:
@@ -403,7 +399,7 @@ def _ansatz_solutions(system, seed=0, node_budget=4000, max_solutions=60):
         return
     names = list(bctx.names)
     rng = random.Random(seed)
-    budget = [node_budget]
+    budget = [_NODE_BUDGET]
     yielded = [0]
 
     def candidates():
@@ -414,7 +410,7 @@ def _ansatz_solutions(system, seed=0, node_budget=4000, max_solutions=60):
 
     def rec(pos, assign):
         # variables names[pos+1:] are assigned; walk backwards
-        if budget[0] <= 0 or yielded[0] >= max_solutions:
+        if budget[0] <= 0 or yielded[0] >= _MAX_SOLUTIONS:
             return
         budget[0] -= 1
         if pos < 0:
@@ -615,13 +611,17 @@ class UniruledCertificate:
         return [c for _, c in self.entries if c is not None]
 
 
-def certify(variety, inequalities, d, samples, mode="complex", sharpness=False,
-            sharpness_samples=3, seed=0):
+# with sharpness on, this many samples get a minimality proof
+_SHARPNESS_SAMPLES = 3
+
+
+def certify(variety, inequalities, d, samples, mode="complex", sharpness=False, seed=0):
     """Search and verify a curve of degree <= d through every sample.
 
     Status is "verified" only if every sample received a verified curve;
     "partial" if some did; "failed" otherwise.  With sharpness on, the
-    first few samples also get a no_smaller_curve proof recorded."""
+    first _SHARPNESS_SAMPLES samples also get a no_smaller_curve proof
+    recorded."""
     inequalities = tuple(inequalities)
     entries = []
     minimality = {}
@@ -636,7 +636,7 @@ def certify(variety, inequalities, d, samples, mode="complex", sharpness=False,
                 curve = None
         entries.append((pt, curve))
     if sharpness:
-        for pt, _ in entries[:sharpness_samples]:
+        for pt, _ in entries[:_SHARPNESS_SAMPLES]:
             if d >= 2:
                 minimality[pt] = no_smaller_curve(variety, pt, d)
     found = sum(1 for _, c in entries if c is not None)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import ParametricCurve
+from .curves import ParametricCurve, one_param_action
 from .errors import ParseError, PreconditionError
 from .groebner import Ideal
 from .mpoly import Context
@@ -47,8 +47,7 @@ def parse_point(values):
 
 
 def format_rational(q):
-    q = Fraction(q)
-    return str(q)
+    return str(Fraction(q))
 
 
 # -- arithmetic expressions in k (for paths) -----------------------------------
@@ -150,7 +149,7 @@ def eval_path_tokens(tokens, text, k):
     return v
 
 
-def path_from_spec(spec, kmax=20):
+def path_from_spec(spec, kmax):
     """PathSpec from a path object checked at load time:
     {'kind': ..., 'point': [exprs in k]}."""
     kind = spec.get("kind", "radial")
@@ -167,23 +166,38 @@ def path_from_spec(spec, kmax=20):
 # -- problem files ----------------------------------------------------------------
 
 
-@dataclass
-class Problem:
-    """Validated problem-file contents plus the raw bytes for digesting."""
+def parse_curve(texts, mode):
+    """ParametricCurve from its coordinate polynomials in t, as text."""
+    tctx = Context(("t",), GREVLEX)
+    coords = []
+    for text in texts:
+        p = parse_poly(text, tctx)
+        cs = [Fraction(0)] * (p.degree_in("t") + 1)
+        for mono, c in p.terms.items():
+            cs[mono[0]] = c
+        coords.append(cs)
+    return ParametricCurve.from_coordinates(coords, mode)
 
-    vars: tuple
+
+@dataclass(frozen=True)
+class Problem:
+    """A problem file parsed once: polynomials over ``ctx``, points of
+    Fractions, and the raw bytes for digesting.  The action, curve and path
+    texts stay text, so only the commands that use them check them."""
+
+    ctx: Context
     mode: str
-    domain_equations: tuple
-    domain_inequalities: tuple
-    map_components: tuple  # may be empty
-    action: tuple  # may be empty
+    domain_equations: tuple  # MPoly
+    domain_inequalities: tuple  # MPoly
+    map_components: tuple  # MPoly, may be empty
+    action: tuple  # text, may be empty
     action_param: str
-    curve: tuple  # may be empty
-    targets: tuple
+    curve: tuple  # text, may be empty
+    targets: tuple  # points
     paths: tuple  # raw dicts
     degree: int | None
     d1: int | None
-    samples: tuple
+    samples: tuple  # points
     sharpness: bool
     kmax: int
     raw: bytes = b""
@@ -193,58 +207,35 @@ class Problem:
 
     # -- builders ---------------------------------------------------------
 
-    def context(self):
-        return Context(self.vars, GREVLEX)
-
     def domain_ideal(self):
-        ctx = self.context()
-        gens = [parse_poly(t, ctx) for t in self.domain_equations]
-        return Ideal(ctx, gens or [ctx.zero()])
-
-    def inequality_polys(self):
-        ctx = self.context()
-        return tuple(parse_poly(t, ctx) for t in self.domain_inequalities)
+        return Ideal(self.ctx, self.domain_equations or [self.ctx.zero()])
 
     def polymap(self):
         if not self.map_components:
             raise PreconditionError("this command needs a 'map' in the problem file")
-        ctx = self.context()
-        comps = tuple(parse_poly(t, ctx) for t in self.map_components)
-        return PolyMap(ctx, comps, domain=self.domain_ideal(), mode=self.mode)
+        return PolyMap(self.ctx, self.map_components, domain=self.domain_ideal(), mode=self.mode)
 
     def one_param_action(self):
         if not self.action:
             raise PreconditionError("this command needs an 'action' in the problem file")
-        from .curves import one_param_action
-
-        ctx = self.context()
-        act_ctx = Context((self.action_param,) + self.vars, GREVLEX)
+        act_ctx = Context((self.action_param,) + self.ctx.names, GREVLEX)
         comps = [parse_poly(t, act_ctx) for t in self.action]
         dom = self.domain_ideal()
-        return one_param_action(ctx, self.action_param, comps,
+        return one_param_action(self.ctx, self.action_param, comps,
                                 dom if not dom.is_zero_ideal() else None)
 
-    def curve_object(self, mode=None):
+    def curve_object(self):
         if not self.curve:
             raise PreconditionError("this command needs a 'curve' in the problem file")
-        tctx = Context(("t",), GREVLEX)
-        coords = []
-        for text in self.curve:
-            p = parse_poly(text, tctx)
-            cs = [Fraction(0)] * (p.degree_in("t") + 1)
-            for mono, c in p.terms.items():
-                cs[mono[0]] = c
-            coords.append(cs)
-        return ParametricCurve.from_coordinates(coords, mode or self.mode)
+        return parse_curve(self.curve, self.mode)
 
-    def path_specs(self):
-        return tuple(path_from_spec(p, self.kmax) for p in self.paths)
-
-    def target_points(self):
-        return tuple(parse_point(t) for t in self.targets)
+    def path_specs(self, kmax=None):
+        """The paths on the schedule 2^1 .. 2^kmax, the file's kmax unless
+        given."""
+        return tuple(path_from_spec(p, kmax or self.kmax) for p in self.paths)
 
     def sample_points(self):
-        return tuple(parse_point(s) for s in self.samples)
+        return self.samples
 
 
 _ALLOWED_KEYS = {
@@ -269,7 +260,7 @@ def _points(data, key):
         isinstance(p, list) and all(isinstance(c, str) for c in p) for p in value
     ):
         raise ParseError(f"{key!r} must be a list of points, each a list of strings")
-    return tuple(tuple(p) for p in value)
+    return value
 
 
 def _integer(data, key, default, lo, hi=None):
@@ -335,33 +326,33 @@ def problem_from_dict(data, raw=b""):
     ineqs = _strings(data, "domain_inequalities")
     if ineqs and mode != "real":
         raise ParseError("domain inequalities are only allowed with field = 'real'")
-    prob = Problem(
-        vars=tuple(vars_),
+    # every shape check comes before the first parse, so a file with both
+    # kinds of fault reports the shape fault
+    eqs, comps = _strings(data, "domain_equations"), _strings(data, "map")
+    action, action_param = _strings(data, "action"), _action_param(data, vars_)
+    curve, targets, paths = _strings(data, "curve"), _points(data, "targets"), _paths(data)
+    degree, d1 = _integer(data, "degree", None, 1), _integer(data, "d1", None, 0)
+    samples = _points(data, "samples")
+    sharpness, kmax = _boolean(data, "sharpness"), _integer(data, "kmax", 20, *KMAX_RANGE)
+    ctx = Context(tuple(vars_), GREVLEX)
+    return Problem(
+        ctx=ctx,
         mode=mode,
-        domain_equations=_strings(data, "domain_equations"),
-        domain_inequalities=ineqs,
-        map_components=_strings(data, "map"),
-        action=_strings(data, "action"),
-        action_param=_action_param(data, vars_),
-        curve=_strings(data, "curve"),
-        targets=_points(data, "targets"),
-        paths=_paths(data),
-        degree=_integer(data, "degree", None, 1),
-        d1=_integer(data, "d1", None, 0),
-        samples=_points(data, "samples"),
-        sharpness=_boolean(data, "sharpness"),
-        kmax=_integer(data, "kmax", 20, *KMAX_RANGE),
+        domain_equations=tuple(parse_poly(t, ctx) for t in eqs),
+        domain_inequalities=tuple(parse_poly(t, ctx) for t in ineqs),
+        map_components=tuple(parse_poly(t, ctx) for t in comps),
+        action=action,
+        action_param=action_param,
+        curve=curve,
+        targets=tuple(map(parse_point, targets)),
+        paths=paths,
+        degree=degree,
+        d1=d1,
+        samples=tuple(map(parse_point, samples)),
+        sharpness=sharpness,
+        kmax=kmax,
         raw=raw,
     )
-    # parse everything parseable up front so errors surface as ParseError
-    ctx = prob.context()
-    for text in (prob.domain_equations + prob.domain_inequalities + prob.map_components):
-        parse_poly(text, ctx)
-    for t in prob.targets:
-        parse_point(t)
-    for s in prob.samples:
-        parse_point(s)
-    return prob
 
 
 def load_problem(path):

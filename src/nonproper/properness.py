@@ -17,7 +17,7 @@ independent resultant-based elimination and by the numeric tracker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -26,13 +26,13 @@ from .mpoly import Context, MPoly, resultant, squarefree_full, squarefree_part
 from .orders import GREVLEX, LEX
 
 
-def _default_image_names(m, taken):
+def _image_names(m, taken):
+    """y1 .. ym, which must not be source variable names."""
     names = tuple(f"y{j + 1}" for j in range(m))
     clash = set(names) & set(taken)
     if clash:
         raise PreconditionError(
-            f"image variable names {sorted(clash)} collide with source names; "
-            "pass explicit image_names"
+            f"image variable names {sorted(clash)} collide with source names"
         )
     return names
 
@@ -51,7 +51,7 @@ class PolyMap:
     components: tuple
     domain: Ideal = None
     mode: str = "complex"
-    image_names: tuple = None
+    image_names: tuple = field(init=False)  # y1 .. ym
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -67,10 +67,7 @@ class PolyMap:
             raise PreconditionError("domain ideal context mismatch")
         if self.mode not in ("complex", "real"):
             raise PreconditionError(f"unknown field mode {self.mode!r}")
-        names = self.image_names or _default_image_names(len(comps), self.ctx.names)
-        if len(names) != len(comps):
-            raise PreconditionError("image_names length must match component count")
-        object.__setattr__(self, "image_names", tuple(names))
+        object.__setattr__(self, "image_names", _image_names(len(comps), self.ctx.names))
         if self.degree < 1:
             raise PreconditionError("map degree must be at least 1")
 

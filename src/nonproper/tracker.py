@@ -32,6 +32,12 @@ from .errors import NonproperError, PreconditionError, VerificationError
 from .rationals import snap_rational
 from .unipoly import Q
 
+# a path's last point must map within this distance, relative to the
+# target's size, of the target
+_RESIDUAL_TOL = 1e-6
+# the limit's coefficients snap to the simplest rational this close, with a
+# denominator of at most snap_rational's default cap
+_SNAP_TOL = Fraction(1, 10**6)
 
 class ConstantCurveError(NonproperError):
     """The image curve degenerated to a constant: the chosen line met an
@@ -232,7 +238,7 @@ def _phase_align(prev, cur):
     return aligned, max(abs(a - p) for ra, rp in zip(aligned, prev) for a, p in zip(ra, rp))
 
 
-def track(f, target, path, tol=1e-8, residual_tol=1e-6):
+def track(f, target, path, tol=1e-8):
     """Run the schedule, normalize each exact image curve, and test
     convergence of the normalized coefficient vectors.
 
@@ -246,7 +252,7 @@ def track(f, target, path, tol=1e-8, residual_tol=1e-6):
     last_val = f.evaluate(points[-1])
     resid = math.sqrt(sum(abs(complex(a - b)) ** 2 for a, b in zip(last_val, target)))
     scale = 1.0 + math.sqrt(sum(abs(complex(t)) ** 2 for t in target))
-    if resid >= residual_tol * scale:
+    if resid >= _RESIDUAL_TOL * scale:
         raise PreconditionError(
             f"path does not approach the target: final residual {resid:.3e}"
         )
@@ -313,7 +319,7 @@ class VerifiedLimit:
         return self.outer.effective_degree
 
 
-def rationalize_verify(trace, sf, tol=Fraction(1, 10**6), max_denominator=10**6):
+def rationalize_verify(trace, sf):
     """Snap the final exact image curve to simple rationals and verify it
     exactly against every component of the non-properness set.
 
@@ -326,7 +332,7 @@ def rationalize_verify(trace, sf, tol=Fraction(1, 10**6), max_denominator=10**6)
     coords = []
     for i in range(raw.m):
         cs = raw.coordinate(i) or [Q(0)]
-        snapped = [snap_rational(c, tol, max_denominator) for c in cs]
+        snapped = [snap_rational(c, _SNAP_TOL) for c in cs]
         snapped[0] = snapped[0] + trace.target[i]
         coords.append(snapped)
     curve = ParametricCurve.from_coordinates(coords, mode="complex")

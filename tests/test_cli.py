@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from nonproper import Context, parse_poly
+import nonproper.problem
 from nonproper.cli import build_parser, main
 from nonproper.curves import ParametricCurve, substitute_curve
 from nonproper.orders import GREVLEX, LEX
@@ -329,6 +331,77 @@ class TestExitTaxonomy:
         assert report["result"]["minimality"] == {}
         assert len(report["result"]["entries"]) == 2
         assert report["result"]["variety"] == ["y1 - y2^2"]
+
+
+# the flags each command reads; a command takes no other
+COMMAND_FLAGS = {
+    "sf": {"--order", "--quiet"},
+    "bounds": {"--quiet"},
+    "certify": {"--order", "--degree", "--samples", "--seed", "--sharpness", "--quiet"},
+    "track": {"--kmax", "--tol", "--csv", "--quiet"},
+    "decompose": {"--quiet"},
+    "fixlocus": {"--order", "--quiet"},
+    "examples": {"--only", "--quiet"},
+}
+
+
+class TestFlags:
+    def test_each_command_has_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+        assert got == COMMAND_FLAGS
+        assert sum(map(len, got.values())) == 18
+
+    @pytest.mark.parametrize("argv", [
+        ["sf", "--tol", "1e-3"], ["bounds", "--order", "lex"], ["certify", "--csv", "x.csv"],
+        ["track", "--sharpness"], ["decompose", "--degree", "2"], ["fixlocus", "--seed", "1"],
+        ["examples", "--kmax", "5"],
+    ])
+    def test_a_flag_the_command_does_not_read_is_2(self, capsys, argv):
+        cmd, *flag = argv
+        file = [] if cmd == "examples" else [str(PROBLEMS / "graph_twist_d2.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *file, "--quiet", *flag])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: " + " ".join(flag) in out.err
+        assert "Traceback" not in out.err
+
+    def test_each_polynomial_is_parsed_once(self, capsys, monkeypatch):
+        calls = []
+        parse = nonproper.problem.parse_poly
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(nonproper.problem, "parse_poly", counting)
+        code, *_ = run_cli(capsys, "sf", str(PROBLEMS / "graph_twist_d2.json"), "--quiet")
+        assert code == 0
+        assert calls == ["x + (x*y)^2", "x*y"]
+
+    def test_path_text_is_checked_only_by_track(self, capsys, tmp_path):
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "map": ["x + (x*y)^2", "x*y"],
+            "targets": [["4", "2"]], "paths": [{"point": ["1/k^", "2*k^2"]}],
+        })
+        code, report, _ = run_cli(capsys, "sf", path, "--quiet")
+        assert code == 0 and report["result"]["components"] == [["y1 - y2^2"]]
+        code, report, err = run_cli(capsys, "track", path, "--quiet")
+        assert code == 2 and report is None
+        assert err.startswith("parse error:") and "1/k^" in err
+
+    def test_bad_csv_path_fails_before_the_run(self, capsys, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setattr("nonproper.cli.sf_compute", lambda *a: ran.append(a))
+        code, report, err = run_cli(capsys, "track", str(PROBLEMS / "graph_twist_d2.json"),
+                                    "--quiet", "--csv", str(tmp_path))
+        assert code == 2 and report is None
+        assert err.startswith("parse error:")
+        assert ran == []
 
 
 class TestCommands:
