@@ -19,7 +19,7 @@ import math
 import sys
 import time
 
-from .corpus import run_corpus
+from .corpus import CORPUS, run_corpus
 from .curves import (
     certify,
     common_inner,
@@ -272,6 +272,9 @@ def cmd_fixlocus(args, prob):
 
 def cmd_examples(args, _prob):
     names = args.only.split(",") if args.only else None
+    unknown = sorted(set(names or ()) - {entry.name for entry in CORPUS})
+    if unknown:
+        raise ParseError(f"--only names no corpus entry: {', '.join(unknown)}")
     matrix = []
     all_ok = True
     for entry, checks in run_corpus(names):

@@ -5,10 +5,13 @@ components, ideal generators, ansatz coefficient equations.  A polynomial
 is a finite map from exponent vectors to nonzero ``Fraction`` values,
 attached to a ``Context`` (an ordered tuple of variable names plus the
 active monomial order).  Values are immutable after construction and all
-operations are pure, so concurrent reads are always safe.  The Groebner
-kernel (``groebner.py``) is the one exception to ``Fraction`` values: it
-works on bare term dicts with int values, integer-primitive multiples of
-these polynomials, and builds an ``MPoly`` only for its results.
+operations are pure, so concurrent reads are always safe.  Two kernels
+leave ``Fraction`` values: the Groebner kernel (``groebner.py``) works on
+bare term dicts with int values, integer-primitive multiples of these
+polynomials, and builds an ``MPoly`` only for its results; the gcd's
+coprimality certificate (``mpoly_gcd``) evaluates univariate images as int
+lists mod the prime 2^31 - 1.  The gcd's pseudo-remainder sequence keeps
+``MPoly`` values but makes each remainder integer-primitive.
 
 Canonical form: an integer-primitive scalar multiple with positive leading
 coefficient under the active order.  Golden-value tests compare canonical
@@ -23,7 +26,6 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .orders import GREVLEX, MonomialOrder
-from .unipoly import udeg, ugcd
 
 Scalar = Fraction
 
@@ -426,14 +428,26 @@ def exact_div(p, q):
 
 
 def _content_in(p, name):
-    """gcd of the coefficients of p viewed as univariate in ``name``."""
+    """gcd of the coefficients of p viewed as univariate in ``name``.
+
+    One if some coefficient is a nonzero constant; otherwise the gcd folded
+    from the smallest coefficient (by term count) up, stopping at a unit.
+    Every gcd is canonical, so the order of the fold changes nothing."""
     coeffs = [c for c in p.coeffs_in(name) if not c.is_zero()]
-    g = coeffs[0].ctx.zero()
+    if any(c.constant_value() is not None for c in coeffs):
+        return p.ctx.one()
+    coeffs.sort(key=lambda c: len(c.terms))
+    g = p.ctx.zero()
     for c in coeffs:
         g = mpoly_gcd(g, c)
         if g.constant_value() is not None:  # a unit cannot get smaller
             break
     return g
+
+
+def _quotient(p, c):
+    """The exact quotient p / c, skipping the division when c is a unit."""
+    return p if c.constant_value() is not None else exact_div(p, c)
 
 
 def _pseudo_rem(a, b, name):
@@ -463,54 +477,87 @@ def _pseudo_rem(a, b, name):
     return MPoly.from_coeffs_in(ctx, name, r)
 
 
+_P = 2**31 - 1  # the prime of the coprimality certificate
 _POINT_TRIES = 3
 
 
 def _image(p, i, powers):
-    """Coefficient list, in variable i, of p with every other variable j
-    set to the integer whose powers are ``powers[j]``; one pass over the
-    terms."""
+    """Coefficient list mod _P, in variable i, of p with every other
+    variable j set to the integer whose powers mod _P are ``powers[j]``;
+    one pass over the terms.  No denominator of p may be divisible by _P."""
     out = [0] * (max(m[i] for m in p.terms) + 1)
     for m, c in p.terms.items():
+        v = c.numerator
+        if c.denominator != 1:
+            v *= pow(c.denominator, -1, _P)
         for j, e in enumerate(m):
             if e and j != i:
-                c *= powers[j][e]
-        out[m[i]] += c
-    return out
+                v = v * powers[j][e] % _P
+        out[m[i]] += v
+    return [v % _P for v in out]
+
+
+def _gcd_degree_mod(a, b):
+    """Degree of the gcd over Z/_P of two coefficient lists (constant term
+    first); a has a nonzero leading coefficient."""
+    b = list(b)
+    while b and not b[-1]:
+        b.pop()
+    a = list(a)
+    while b:
+        inv = pow(b[-1], -1, _P)
+        db = len(b) - 1
+        while len(a) > db:  # a <- a mod b
+            q = a.pop() * inv % _P
+            shift = len(a) - db
+            for k in range(db):
+                a[shift + k] = (a[shift + k] - q * b[k]) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 def _coprime_image(a, b, i):
-    """True if a specialization of the other variables proves that the
-    primitive parts a and b have no common factor of positive degree in
-    variable i; False if the images do not decide it."""
+    """True if an image mod _P at an integer point of the other variables
+    proves that the primitive parts a and b have no common factor of
+    positive degree in variable i; False if the images do not decide it."""
+    if any(c.denominator % _P == 0 for c in (*a.terms.values(), *b.terms.values())):
+        return False
     monos = (*a.terms, *b.terms)
     tops = [max(m[j] for m in monos) for j in range(a.ctx.arity)]
     for k in range(_POINT_TRIES):
-        powers = [[(j + 1 + k ** (j + 1)) ** e for e in range(d + 1)]
+        powers = [[pow(j + 1 + k ** (j + 1), e, _P) for e in range(d + 1)]
                   for j, d in enumerate(tops)]
         ia = _image(a, i, powers)
-        if ia[-1]:  # lc_i(a) does not vanish at the point
-            return udeg(ugcd(ia, _image(b, i, powers))) == 0
+        if ia[-1]:  # lc_i(a) does not vanish at the point mod _P
+            return _gcd_degree_mod(ia, _image(b, i, powers)) == 0
     return False
 
 
 def mpoly_gcd(p, q):
-    """Canonical gcd: an early coprimality exit, else the primitive
+    """Canonical gcd: an early coprimality exit, else the integer-primitive
     pseudo-remainder sequence.
 
-    The contents c_p, c_q in the main variable v are split off first, so
-    gcd(p, q) = gcd(c_p, c_q) * G with G = gcd(a, b) of the primitive parts.
-    Then a and b are specialized at one integer point of the other
-    variables where lc_v(a) does not vanish: the variables take 1, 2, 3,
-    ..., and if lc_v(a) vanishes there the point moves to 2, 3, 4, ... and
-    then to 3, 6, 11, ... (try k sets variable j to j + 1 + k^(j+1)).  G
-    divides a, so lc_v(G) divides lc_v(a) and does not vanish there either:
-    deg_v G is the degree of G's image, which divides both images, so
-    deg_v G is at most the degree of the univariate gcd of the images.  If
-    that gcd is constant, G is free of v and divides the primitive a, so G
-    is a unit and the answer is exactly the content gcd.  The sequence
+    A nonzero constant argument gives 1 at once.  Otherwise the contents
+    c_p, c_q in the main variable v are split off first, so gcd(p, q) =
+    gcd(c_p, c_q) * G with G = gcd(a, b) of the primitive parts a and b.
+    Then a and b are mapped to Z/P, P = 2^31 - 1, at one integer point of
+    the other variables: the variables take 1, 2, 3, ..., and if lc_v(a)
+    vanishes there mod P the point moves to 2, 3, 4, ... and then to 3, 6,
+    11, ... (try k sets variable j to j + 1 + k^(j+1)).  The images are
+    taken only if P divides no denominator of a or b.  By Gauss's lemma
+    over the integers localized at P, G can be chosen with coefficients
+    there and G divides both a and b there; lc_v(G) divides lc_v(a), which
+    does not vanish at the point mod P, so the image of G has degree
+    deg_v G and divides both images.  If the gcd of the images over Z/P is
+    constant, deg_v G = 0, so G is free of v and divides the primitive a:
+    G is a unit and the answer is exactly the content gcd.  The sequence
     still runs when the images share a factor (a common factor of a and b,
-    or an unlucky point) or when lc_v(a) vanishes at every point tried.
+    or an unlucky point or prime), when P divides a denominator, or when
+    lc_v(a) vanishes mod P at every point tried.  Each remainder of the
+    sequence is divided by its content and made integer-primitive, so its
+    integer coefficients do not swell from step to step.
 
     The result is integer-primitive with positive leading coefficient. The
     gcd of two nonzero constants is 1 (constants are units over Q).
@@ -520,9 +567,9 @@ def mpoly_gcd(p, q):
     if q.is_zero():
         return p.canonical()
     ctx = p.ctx
-    used = p.support_vars() | q.support_vars()
-    if not used:
+    if p.constant_value() is not None or q.constant_value() is not None:
         return ctx.one()
+    used = p.support_vars() | q.support_vars()
     name = next(n for n in reversed(ctx.names) if n in used)
     dp, dq = p.degree_in(name), q.degree_in(name)
     # a common divisor cannot involve a variable absent from one side
@@ -532,20 +579,19 @@ def mpoly_gcd(p, q):
         return mpoly_gcd(_content_in(p, name), q)
     cp, cq = _content_in(p, name), _content_in(q, name)
     c = mpoly_gcd(cp, cq)
-    a = exact_div(p, cp)
-    b = exact_div(q, cq)
+    a = _quotient(p, cp)
+    b = _quotient(q, cq)
     if _coprime_image(a, b, ctx.index(name)):
-        return c.canonical()
+        return c
     if a.degree_in(name) < b.degree_in(name):
         a, b = b, a
     while True:
         r = _pseudo_rem(a, b, name)
         if r.is_zero():
-            g = exact_div(b, _content_in(b, name))
-            return (c * g).canonical()
+            return (c * b).canonical()  # b is primitive in v
         if r.degree_in(name) == 0:
-            return c.canonical()
-        a, b = b, exact_div(r, _content_in(r, name))
+            return c
+        a, b = b, _quotient(r, _content_in(r, name)).canonical()
 
 
 def squarefree_part(p, name):
@@ -553,8 +599,7 @@ def squarefree_part(p, name):
     coefficient under the context order."""
     if p.is_zero():
         raise PreconditionError("squarefree part of the zero polynomial")
-    g = mpoly_gcd(p, p.derivative(name))
-    return exact_div(p, g).canonical()
+    return _quotient(p, mpoly_gcd(p, p.derivative(name))).canonical()
 
 
 def squarefree_full(p):
@@ -567,8 +612,7 @@ def squarefree_full(p):
         g = mpoly_gcd(g, p.derivative(n))
     if g.is_zero():  # constant polynomial
         return p.ctx.one()
-    g = mpoly_gcd(p, g)
-    return exact_div(p, g).canonical()
+    return _quotient(p, mpoly_gcd(p, g)).canonical()
 
 
 # -- Sylvester resultants ------------------------------------------------------

@@ -113,9 +113,24 @@ def image_closure(f: PolyMap) -> Ideal:
 
 
 def _coordinate_elimination(f, j):
-    """Reduced lex basis of graph_ideal restricted to (x_j, image vars)."""
+    """Reduced lex basis of graph_ideal restricted to (x_j, image vars).
+
+    Invariant: ``eliminate`` keeps the joined context's order, in which
+    source names precede image names, so x_j is the largest variable of
+    this lex basis.  Its members free of x_j are therefore the reduced lex
+    basis of the image ideal, the basis ``image_closure`` computes, and
+    ``sf_compute`` reads J off it (``_image_ideal``)."""
     name = f.ctx.names[j]
     return eliminate(graph_ideal(f), set(f.image_names) | {name})
+
+
+def _image_ideal(f, elim, name):
+    """The image ideal read off the elimination basis of coordinate
+    ``name``: its members free of the coordinate, rebased to the image
+    context."""
+    yctx = f.image_context()
+    gens = [g.rebase(yctx) for g in elim.generators if g.degree_in(name) == 0]
+    return Ideal(yctx, gens or [yctx.zero()])
 
 
 def _relations(elim, name):
@@ -124,13 +139,10 @@ def _relations(elim, name):
     return [g for g in elim.generators if g.degree_in(name) > 0]
 
 
-def coordinate_min_poly(f: PolyMap, j) -> MPoly:
-    """A nonzero relation between source coordinate j and the image
-    variables, of minimal degree in that coordinate within the computed
-    elimination basis; integer-primitive and squarefree in the
-    coordinate."""
-    name = f.ctx.names[j]
-    candidates = _relations(_coordinate_elimination(f, j), name)
+def _min_poly(elim, name):
+    """The relation of coordinate_min_poly, taken from the coordinate's
+    elimination basis."""
+    candidates = _relations(elim, name)
     if not candidates:
         raise PreconditionError(
             f"map is not generically finite: coordinate {name!r} is not "
@@ -138,6 +150,14 @@ def coordinate_min_poly(f: PolyMap, j) -> MPoly:
         )
     best = min(candidates, key=lambda g: (g.degree_in(name), g.ctx.order.key(g.leading_monomial())))
     return squarefree_part(best, name).canonical()
+
+
+def coordinate_min_poly(f: PolyMap, j) -> MPoly:
+    """A nonzero relation between source coordinate j and the image
+    variables, of minimal degree in that coordinate within the computed
+    elimination basis; integer-primitive and squarefree in the
+    coordinate."""
+    return _min_poly(_coordinate_elimination(f, j), f.ctx.names[j])
 
 
 @dataclass(frozen=True)
@@ -216,12 +236,17 @@ def sf_compute(f: PolyMap) -> SfResult:
     nonconstant leading coefficient; each component ideal is the image
     ideal plus the squarefree part of that coefficient.  An empty result
     means the map is proper (finite over its image closure).
+
+    The image ideal J is read off the first coordinate's elimination basis
+    (``_image_ideal``), so J costs no elimination of its own; it equals
+    ``image_closure(f)``.
     """
     yctx = f.image_context()
-    J = image_closure(f)
+    elims = [_coordinate_elimination(f, j) for j in range(f.n)]
+    J = _image_ideal(f, elims[0], f.ctx.names[0])
     coords = []
-    for j, name in enumerate(f.ctx.names):
-        phi = coordinate_min_poly(f, j)
+    for j, (name, elim) in enumerate(zip(f.ctx.names, elims)):
+        phi = _min_poly(elim, name)
         nj = phi.degree_in(name)
         lead = squarefree_full(phi.coeffs_in(name)[nj].rebase(yctx)).canonical()
         coords.append(CoordinateData(j, name, phi, lead, nj))

@@ -536,3 +536,10 @@ class TestProblemFiles:
         _, r2, _ = run_cli(capsys, "sf", str(PROBLEMS / "graph_twist_d2.json"), "--quiet")
         assert r1["input_digest"] == r2["input_digest"]
         assert r1["result"] == r2["result"]
+
+
+def test_examples_only_rejects_unknown_names(capsys):
+    code, report, err = run_cli(capsys, "examples", "--quiet", "--only", "quadrant,no_such_entry")
+    assert code == 2
+    assert report is None
+    assert err.startswith("parse error:") and "no_such_entry" in err and "quadrant" not in err

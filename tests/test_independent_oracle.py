@@ -232,3 +232,55 @@ def test_real_root_isolation_matches_reference():
             lo = sp.Rational(interval.lower.numerator, interval.lower.denominator)
             hi = sp.Rational(interval.upper.numerator, interval.upper.denominator)
             assert bool(lo <= root) and bool(root <= hi)
+
+
+def test_squarefree_with_a_nontrivial_gcd_in_three_variables():
+    """The seed-5 draw of the comparison below: before the remainders of
+    the pseudo-remainder sequence were made integer-primitive, their
+    coefficients swelled and this call ran for over a minute."""
+    u = parse_poly("-3*x^2*y^2*z^2 + 2*x*y^2*z - 4*y^2 + z", C3)
+    w = parse_poly("5*x^2 + 2*x*z + z^2", C3)
+    assert squarefree_part(u ** 2 * w, "z") == (u * w).canonical()
+
+
+def test_squarefree_matches_reference_exponents_up_to_two():
+    rng = random.Random(5)
+    x, y, z = XS
+    for _ in range(6):
+        u = random_mpoly(rng, C3, 3, 2) + C3.var("z")
+        w = random_mpoly(rng, C3, 3, 2, max_terms=2) + C3.var("z") ** 2
+        P = to_sympy(u ** 2 * w, XS)
+        full = sp.sqf_part(P, *XS)
+        content = sp.gcd_list(sp.Poly(P, z).all_coeffs())
+        in_z = sp.cancel(full / sp.sqf_part(content, x, y))
+        for mine, ref in ((squarefree_part(u ** 2 * w, "z"), in_z),
+                          (squarefree_full(u ** 2 * w), full)):
+            assert sp.simplify(to_sympy(mine, XS) / ref).is_constant(), (u, w, mine, ref)
+
+
+P31 = 2 ** 31 - 1  # the prime of mpoly_gcd's coprimality certificate
+
+
+@pytest.mark.parametrize("lead, points", [
+    (f"x + {P31 - 1}", [1, 2]),  # lc_z vanishes mod P at x = 1, not over Q
+    (f"1/{P31}*x + 1", []),       # P divides a denominator: no image is taken
+])
+@pytest.mark.parametrize("shared", ["1", "z + x*y - 1", f"(x + {P31 - 1})*z + y"])
+def test_gcd_when_the_prime_divides_the_leading_coefficient(monkeypatch, lead, points, shared):
+    seen = []
+    image = mpoly._image
+
+    def spy(p, i, powers):
+        if i == 2:
+            seen.append(powers[0][1])
+        return image(p, i, powers)
+
+    monkeypatch.setattr(mpoly, "_image", spy)
+    w = parse_poly(shared, C3)
+    p = parse_poly(f"({lead})*z^2 + y*z + x + 1", C3) * w
+    q = parse_poly("z^2 + x*z - y^2", C3) * w
+    assert_gcd_matches(p, q)
+    assert sorted(set(seen)) == points
+    mine = squarefree_part(p * w, "z")
+    ref = sp.sqf_part(to_sympy(p * w, XS), *XS)
+    assert sp.simplify(to_sympy(mine, XS) / ref).is_constant()

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,9 @@ from nonproper import (
     theorem_bound,
     vanishes_on,
 )
+from nonproper.corpus import CORPUS
 from nonproper.orders import LEX
+from nonproper.problem import problem_from_dict
 from nonproper.properness import _coordinate_elimination, _relations
 
 C2 = Context(("x1", "x2"))
@@ -285,3 +289,35 @@ class TestPolyMapValidation:
     def test_degree_property(self):
         assert twist(3).degree == 6
         assert scaling_n2().degree == 2
+
+
+def _benchmark_sf_maps(seed):
+    """(label, map) of the twist and dense sf jobs of the benchmark's elim
+    workload (perfbench/workloads.py) at one seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for i, (cmd, _, prob, expect) in enumerate(workloads.generate("elim", seed)):
+        if cmd == "sf" and expect["kind"] in ("twist", "dense"):
+            yield f"elim job {i}", problem_from_dict({"format": 1, **prob}).polymap()
+
+
+def test_image_ideal_read_off_equals_image_closure():
+    """sf_compute reads J off the first coordinate's elimination basis;
+    it must be the reduced lex basis image_closure computes."""
+    cases = [(e.name, e.load().polymap()) for e in CORPUS if "map" in e.problem]
+    cases += list(_benchmark_sf_maps(1))
+    # maps whose image closure is a proper subvariety, so J is not zero
+    C1 = Context(("x1",))
+    cases += [
+        ("parabola", pmap(C1, "x1", "x1^2")),
+        ("cone", pmap(CXY, "x^2", "x*y", "y^2")),
+        ("graph of x*y + x^3", pmap(CXY, "x", "y", "x*y + x^3")),
+        ("hyperbola", pmap(C3, "x1", "x2",
+                           domain=Ideal(C3, [parse_poly(g, C3) for g in ("x1*x2 - 1", "x3")]))),
+    ]
+    assert len(cases) == 55
+    for label, f in cases:
+        J = sf_compute(f).image_ideal
+        assert J.canonical_generators() == image_closure(f).canonical_generators(), label
