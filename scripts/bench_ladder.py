@@ -1,33 +1,45 @@
 #!/usr/bin/env python3
-"""Record a before/after ladder of two source checkouts as one JSON file.
+"""Record a before/after ladder of two git revisions as one JSON file.
 
-    python3 scripts/bench_ladder.py --before DIR --after DIR \
-        [--seeds 1 2] [--seconds 15] [--cap 60] > BENCH_<n>.json
+    python3 scripts/bench_ladder.py --before REV --after REV > BENCH_<n>.json
 
-Each side is a full checkout (a ``src/`` and a ``perfbench/`` directory).
+Each revision is exported with ``git archive`` into a temporary directory.
 For each side the script records:
 
-- the end-to-end medians of ``perfbench/run.py`` (``--trace 0``) for every
-  workload and seed, run from that checkout;
+- ``perfbench/run.py`` (``--trace 0``, SECONDS per run) on every workload
+  and seed, PAIRS runs per side, the sides alternating run by run and the
+  order flipping every pair, so a drift in host speed spreads over both.
+  Each end-to-end metric of ``BENCHMARK.json`` gets the quartiles of each
+  side, the number of pairs in which the after run is better, and
+  ``unresolved`` when either side's interquartile range, relative to its
+  median, is wider than the metric's bound;
 - the in-process wall time of each case in CASES, in a fresh interpreter
-  on that checkout's ``src/`` (import time excluded).  A case that runs
-  into the cap is recorded at the cap, flagged ``<side>_capped``.
+  on that side's ``src/`` (import time excluded).  A case that runs into
+  the CAP_S wall cap is recorded at the cap, flagged ``<side>_capped``.
 
-The sides alternate workload by workload and case by case, so a drift in
-host speed spreads over both.  Progress goes to stderr.
+Progress goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("elim", "certify", "track")
+SEEDS = (1, 2)
+SECONDS = 15
+PAIRS = 10
+CAP_S = 60
 
 
 def _sf_case(components):
@@ -56,29 +68,59 @@ CASES = (
 TIMER = "{setup}\nimport time\nt = time.perf_counter()\n{expr}\nprint(time.perf_counter() - t)\n"
 
 
-def perfbench(checkout, workload, seed, seconds):
-    """End-to-end metric values of one perfbench run, or None if it
-    produced no result line."""
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def export(rev, dest):
+    """Extract the tree of ``rev`` into dest; return '<short hash> <subject>'."""
+    tarfile.open(fileobj=io.BytesIO(_git("archive", rev))).extractall(dest)
+    return _git("log", "-1", "--format=%h %s", rev).decode().strip()
+
+
+def perfbench(checkout, workload, seed):
+    """The result line of one perfbench run, or None if it printed none."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     ).stdout.strip().splitlines()
-    if not out:
-        return None
-    result = json.loads(out[-1])
-    return {"correct": result["correct"],
-            **{k: round(v["value"], 6) for k, v in result["metrics"].items()}}
+    return json.loads(out[-1]) if out else None
 
 
-def case_time(checkout, setup, expr, cap):
+def _quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return [round(q1, 6), round(q2, 6), round(q3, 6)]
+
+
+def summarize(runs, metrics):
+    """Per metric: quartiles of each side, pairs the after side wins, and
+    whether the spread of either side exceeds the metric's bound."""
+    out = {"correct": {side: all(r is not None and r["correct"] for r in rs)
+                       for side, rs in runs.items()}}
+    if not all(out["correct"].values()):
+        return out
+    for m in metrics:
+        name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+        vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
+        qs = {side: _quartiles(v) for side, v in vals.items()}
+        out[name] = {
+            **qs,
+            "after_better_pairs": sum(sign * (a - b) > 0
+                                      for b, a in zip(vals["before"], vals["after"])),
+            "unresolved": any((q[2] - q[0]) / q[1] > m["bound"] for q in qs.values()),
+        }
+    return out
+
+
+def case_time(checkout, setup, expr):
     """(wall seconds, capped) of one timed expression in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
     try:
         out = subprocess.run([sys.executable, "-c", TIMER.format(setup=setup, expr=expr)],
-                             env=env, capture_output=True, text=True, timeout=cap)
+                             env=env, capture_output=True, text=True, timeout=CAP_S)
     except subprocess.TimeoutExpired:
-        return cap, True
+        return CAP_S, True
     if out.returncode:
         raise RuntimeError(f"case failed:\n{out.stderr}")
     return round(float(out.stdout.split()[-1]), 4), False
@@ -86,32 +128,40 @@ def case_time(checkout, setup, expr, cap):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--before", required=True)
-    ap.add_argument("--after", required=True)
-    ap.add_argument("--seeds", type=int, nargs="*", default=[1, 2])
-    ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--cap", type=float, default=60.0)
+    ap.add_argument("--before", required=True, help="git revision of the before side")
+    ap.add_argument("--after", required=True, help="git revision of the after side")
     args = ap.parse_args(argv)
-    sides = {"before": args.before, "after": args.after}
-    bench = {side: {} for side in sides}
-    for workload in WORKLOADS:
-        for seed in args.seeds:
-            for side, checkout in sides.items():
-                print(f"perfbench {workload} seed {seed} {side}", file=sys.stderr)
-                bench[side][f"{workload} seed {seed}"] = perfbench(
-                    checkout, workload, seed, args.seconds)
-    cases = []
-    for name, setup, expr in CASES:
-        row = {"case": name, "cap_s": args.cap}
-        for side, checkout in sides.items():
-            print(f"case {name} {side}", file=sys.stderr)
-            row[f"{side}_s"], row[f"{side}_capped"] = case_time(checkout, setup, expr, args.cap)
-        cases.append(row)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    with tempfile.TemporaryDirectory() as tmp:
+        checkouts, sides = {}, {}
+        for side in ("before", "after"):
+            checkouts[side] = Path(tmp) / side
+            sides[side] = export(getattr(args, side), checkouts[side])
+        bench = {}
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                runs = {"before": [], "after": []}
+                for i in range(PAIRS):
+                    for side in (("before", "after") if i % 2 == 0 else ("after", "before")):
+                        print(f"perfbench {workload} seed {seed} pair {i + 1} {side}",
+                              file=sys.stderr)
+                        runs[side].append(perfbench(checkouts[side], workload, seed))
+                bench[f"{workload} seed {seed}"] = summarize(runs, metrics)
+        cases = []
+        for name, setup, expr in CASES:
+            row = {"case": name}
+            for side in ("before", "after"):
+                print(f"case {name} {side}", file=sys.stderr)
+                row[f"{side}_s"], row[f"{side}_capped"] = case_time(checkouts[side], setup, expr)
+            cases.append(row)
     json.dump({
+        "command": f"python3 scripts/bench_ladder.py --before {args.before} --after {args.after}",
+        "sides": sides,
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "perfbench_seconds": args.seconds,
-        "perfbench": bench,
-        "cases": cases,
+        "perfbench": {"seconds": SECONDS, "pairs": PAIRS,
+                      "quartiles": "[q1, median, q3] of each side's runs",
+                      "runs": bench},
+        "cases": {"cap_s": CAP_S, "rows": cases},
     }, sys.stdout, indent=1)
     print()
     return 0
