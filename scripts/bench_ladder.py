@@ -51,6 +51,17 @@ def _sf_case(components):
             "sf_compute(f)")
 
 
+def _twist_certify_case(d):
+    """(name, setup code, timed expression) of certify --sharpness on the
+    twist component y1 - y2^d at (0, 0) and (1, 1)."""
+    return (f"certify --sharpness y1 - y2^{d} at (0,0), (1,1)",
+            "from nonproper import Context, Ideal, certify, parse_poly\n"
+            "from nonproper.orders import LEX\n"
+            "C = Context(('y1', 'y2'), LEX)\n"
+            f"V = Ideal(C, [parse_poly('y1 - y2^{d}', C)])",
+            f"certify(V, (), {d}, [(0, 0), (1, 1)], sharpness=True)")
+
+
 # (name, setup code, timed expression); run with nonproper importable
 CASES = (
     ("squarefree_part(u^2*w, 'z'), the seed-5 oracle draw",
@@ -63,6 +74,7 @@ CASES = (
      "squarefree_part(p, 'z')"),
     _sf_case(["x^3*y^2 + x - y", "x^2*y + 2*y^2 + x"]),
     _sf_case(["x^4*y^3 + x - y", "x^3*y^2 + 2*y^2 + x"]),
+    *(_twist_certify_case(d) for d in (3, 4, 5)),
 )
 
 TIMER = "{setup}\nimport time\nt = time.perf_counter()\n{expr}\nprint(time.perf_counter() - t)\n"

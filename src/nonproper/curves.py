@@ -5,6 +5,12 @@ image coverings, and fixed loci of one-parameter additive actions.
 A parametric curve here is a polynomial map from the line into affine
 space, stored as exact coefficient vectors.  Everything that claims
 anything is verified exactly, in rational arithmetic.
+
+There is one t-expansion, ``expand_along``: a polynomial composed with
+coordinates that are plain term dicts keyed by (t power, *exponents of
+the unknowns), with int values unless a base point is not integral.  The
+ansatz equations are its t^k coefficients (``ansatz_system``) and
+``substitute_curve`` is the case with no unknowns.
 """
 
 from __future__ import annotations
@@ -12,16 +18,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .errors import PreconditionError
-from .groebner import Ideal, buchberger, eliminate, reduce_poly
+from .groebner import Ideal, buchberger, eliminate
 from .mpoly import Context, MPoly, resultant
 from .orders import GREVLEX, LEX
 from .unipoly import (
     Q,
     nonneg_on_line,
     real_roots,
-    uadd,
     ucontent_primitive,
     udeg,
     uderiv,
@@ -33,20 +39,45 @@ from .unipoly import (
     utrim,
 )
 
-# -- polynomials in t with ring coefficients ----------------------------------
+# -- the t-expansion ----------------------------------------------------------------
 
 
-def eval_at_tpolys(p, coords, zero, one):
-    """Expand p(c_1(t), ..., c_n(t)) where each coordinate is a list of
-    ring coefficients in ascending powers of t; trimmed, [] for zero."""
-    total = []
+def _tmul(a, b):
+    """Product of two term dicts keyed by exponent tuples."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + va * vb
+    return out
+
+
+def expand_along(p, coords):
+    """p(c_1, ..., c_n) expanded, as a term dict without zero values.
+
+    Each coordinate c_i is a term dict keyed by (t power, *exponents of
+    the unknowns) with int or Fraction values, and the result has the same
+    keys.  The powers of each coordinate are built once per call; with no
+    unknowns the keys are (t power,)."""
+    zero = (0,) * next((len(k) for c in coords for k in c), 1)
+    powers = []
+    for i, c in enumerate(coords):
+        top = max((m[i] for m in p.terms), default=0)
+        row = [None, c]
+        while len(row) <= top:
+            row.append(_tmul(row[-1], c))
+        powers.append(row)
+    total = {}
     for mono, c in p.terms.items():
-        term = [one * c]
-        for i, e in enumerate(mono):
+        if c.denominator == 1:
+            c = c.numerator
+        term = None
+        for row, e in zip(powers, mono):
             if e:
-                term = umul(term, upow(coords[i], e, zero, one), zero)
-        total = uadd(total, term, zero)
-    return total
+                term = row[e] if term is None else _tmul(term, row[e])
+        for k, v in ({zero: 1} if term is None else term).items():
+            total[k] = total.get(k, 0) + c * v
+    return {k: v for k, v in total.items() if v}
 
 
 # -- parametric curves ----------------------------------------------------------
@@ -137,9 +168,12 @@ def substitute_curve(p, curve):
         raise PreconditionError(
             f"ambient dimension mismatch: polynomial in {p.ctx.arity} variables, curve in {curve.m}"
         )
-    coords = [curve.coordinate(i) + [] for i in range(curve.m)]
-    coords = [cs or [Q(0)] for cs in coords]
-    return ParametricCurve.from_coordinates([eval_at_tpolys(p, coords, Q(0), Q(1))])
+    coords = [{(j,): c for j, c in enumerate(curve.coordinate(i)) if c} for i in range(curve.m)]
+    terms = expand_along(p, coords)
+    cs = [0] * (1 + max((k for k, in terms), default=0))
+    for (k,), c in terms.items():
+        cs[k] = c
+    return ParametricCurve.from_coordinates([cs])
 
 
 def is_unbounded(curve):
@@ -168,13 +202,11 @@ class AnsatzSystem:
     point inside a variety.
 
     The zero set of ``ideal`` in the unknown-coefficient context is the
-    set of coefficient vectors b with curve(a, b) inside the variety; the
-    real variant appends the unit-sphere normalization."""
+    set of coefficient vectors b with curve(a, b) inside the variety."""
 
     variety: Ideal
     base: tuple
     degree: int
-    mode: str
     bctx: Context
     equations: tuple
     ideal: Ideal
@@ -193,12 +225,12 @@ def _check_on_variety(variety, point, inequalities=(), mode="complex"):
     return True
 
 
-def ansatz_system(variety, a, d, mode="complex"):
+def ansatz_system(variety, a, d):
     """Build the coefficient equations for degree-d curves through a.
 
     Unknowns b{i}_{j} (coordinate i, t-power j); the equations are the
-    t^k coefficients of every variety generator composed with the curve.
-    Real mode appends sum of squares of all unknowns minus 1.
+    t^k coefficients of every variety generator composed with the curve,
+    canonical, in generator and then t-power order, each kept once.
     """
     m = variety.ctx.arity
     a = tuple(Q(x) for x in a)
@@ -208,55 +240,38 @@ def ansatz_system(variety, a, d, mode="complex"):
         raise PreconditionError("curve degree must be at least 1")
     if not _check_on_variety(variety, a):
         raise PreconditionError(f"base point {tuple(map(str, a))} is off the variety")
-    names = []
-    grid = []
-    for i in range(m):
-        row = []
-        for j in range(1, d + 1):
-            nm = f"b{i + 1}_{j}"
-            names.append(nm)
-            row.append(nm)
-        grid.append(tuple(row))
-    bctx = Context(tuple(names), GREVLEX)
+    grid = tuple(tuple(f"b{i + 1}_{j}" for j in range(1, d + 1)) for i in range(m))
+    n = m * d
+    bctx = Context(tuple(nm for row in grid for nm in row), GREVLEX)
+    # coordinate i is a_i + sum_j b{i}_{j} t^j; unknown (i, j) has index i*d + j - 1
     coords = []
     for i in range(m):
-        coords.append([bctx.const(a[i])] + [bctx.var(nm) for nm in grid[i]])
-    zero, one = bctx.zero(), bctx.one()
+        c = {(j,) + (0,) * (i * d + j - 1) + (1,) + (0,) * (n - i * d - j): 1 for j in range(1, d + 1)}
+        if a[i]:
+            c[(0,) * (n + 1)] = a[i].numerator if a[i].denominator == 1 else a[i]
+        coords.append(c)
     eqs = []
-    for g in variety.generators:
-        if g.is_zero():
-            continue
-        expansion = eval_at_tpolys(g, coords, zero, one)
-        for k, coeff in enumerate(expansion):
-            if k == 0:
-                continue  # identically zero: the base point is on the variety
-            if not coeff.is_zero():
-                eqs.append(coeff.canonical())
-        if expansion and not expansion[0].is_zero():
-            raise AssertionError("constant term must vanish for a base point on the variety")
-    uniq = []
     seen = set()
-    for e in eqs:
-        key = str(e)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(e)
-    ideal_gens = list(uniq)
-    if mode == "real":
-        sphere = -bctx.one()
-        for nm in names:
-            sphere = sphere + bctx.var(nm) * bctx.var(nm)
-        ideal_gens.append(sphere.canonical())
-    ideal = Ideal(bctx, ideal_gens or [bctx.zero()])
+    for g in variety.generators:
+        by_power = {}
+        for key, c in expand_along(g, coords).items():
+            by_power.setdefault(key[0], {})[key[1:]] = c
+        if 0 in by_power:
+            raise AssertionError("constant term must vanish for a base point on the variety")
+        for k in sorted(by_power):
+            e = MPoly(bctx, by_power[k]).canonical()
+            sig = frozenset(e.terms.items())
+            if sig not in seen:
+                seen.add(sig)
+                eqs.append(e)
     return AnsatzSystem(
         variety=variety,
         base=a,
         degree=d,
-        mode=mode,
         bctx=bctx,
-        equations=tuple(uniq),
-        ideal=ideal,
-        unknowns=tuple(grid),
+        equations=tuple(eqs),
+        ideal=Ideal(bctx, eqs or [bctx.zero()]),
+        unknowns=grid,
     )
 
 
@@ -398,6 +413,13 @@ def _ansatz_solutions(system, seed=0):
     if len(basis) == 1 and basis[0].constant_value() is not None:
         return
     names = list(bctx.names)
+    # per unknown, the coeffs_in lists of the basis elements whose largest
+    # (first-named) variable it is: the constraints on it once the later
+    # unknowns are assigned
+    relevant = [[] for _ in names]
+    for g in basis:
+        pos = min(i for mono in g.terms for i, e in enumerate(mono) if e)
+        relevant[pos].append(g.coeffs_in(names[pos]))
     rng = random.Random(seed)
     budget = [_NODE_BUDGET]
     yielded = [0]
@@ -420,21 +442,11 @@ def _ansatz_solutions(system, seed=0):
                 yield dict(assign)
             return
         name = names[pos]
-        later = set(names[pos + 1:])
-        relevant = [
-            g
-            for g in basis
-            if g.support_vars() <= later | {name} and name in g.support_vars()
-        ]
-        point_images = {n: assign[n] for n in later}
+        point = [assign.get(n, 0) for n in names]
         constraints = []
         contradiction = False
-        for g in relevant:
-            cs = []
-            for power, coeff in enumerate(g.coeffs_in(name)):
-                vals = coeff.evaluate([point_images.get(n, 0) for n in names])
-                cs.append(vals)
-            cs = utrim(cs)
+        for coeffs in relevant[pos]:
+            cs = utrim([coeff.evaluate(point) for coeff in coeffs])
             if not cs:
                 continue
             if udeg(cs) == 0:
@@ -453,7 +465,10 @@ def _ansatz_solutions(system, seed=0):
             yield from rec(pos - 1, assign)
             del assign[name]
 
-    yield from rec(len(names) - 1, {})
+    try:
+        yield from rec(len(names) - 1, {})
+    finally:
+        del rec  # rec's closure holds rec: break the cycle, so its tables go with the search
 
 
 def _curve_from_solution(system, solution, mode):
@@ -509,7 +524,7 @@ def find_curve(variety, a, d, mode="complex", inequalities=(), seed=0):
             continue
         if verify_curve(variety, inequalities, curve, a, d, mode).ok:
             return curve
-    system = ansatz_system(variety, a, d, mode="complex")
+    system = ansatz_system(variety, a, d)
     for solution in _ansatz_solutions(system, seed=seed):
         curve = _curve_from_solution(system, solution, mode)
         if curve.is_constant():
@@ -562,7 +577,7 @@ def no_smaller_curve(variety, a, d):
     unit ideal True."""
     if d <= 1:
         raise PreconditionError("no_smaller_curve needs d >= 2 (degree d-1 curves exist only for d-1 >= 1)")
-    system = ansatz_system(variety, a, d - 1, mode="complex")
+    system = ansatz_system(variety, a, d - 1)
     bctx = system.bctx
     order = bctx.order
     basis = system.ideal.groebner()
@@ -576,10 +591,10 @@ def no_smaller_curve(variety, a, d):
         return False
     D = _standard_monomial_count(lms, n)
     for nm in bctx.names:
-        r = reduce_poly(bctx.var(nm), basis, order)
+        r = system.ideal.normal_form(bctx.var(nm))
         power = 1
         while power < D and r:
-            r = reduce_poly(r * r, basis, order)
+            r = system.ideal.normal_form(r * r)
             power *= 2
         if r:
             return False

@@ -27,8 +27,10 @@ the next term from a heap on which each monomial's order key (a flat int
 tuple, negated) is computed once, when the monomial enters.
 
 Ideals are immutable; the reduced basis per order tag is cached
-write-once, and recomputation is idempotent, so concurrent readers are
-safe.
+write-once, and so are the lead triples ``normal_form`` reduces against,
+built from that basis on the first normal form under the tag (an ideal
+that never takes one builds none).  Recomputation is idempotent, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -132,16 +134,21 @@ def _reduce(terms, lead, order):
     return remainder, scale
 
 
+def _remainder(p, lead, order):
+    """``reduce_poly`` against the (lm, lc, terms) triples of the basis."""
+    if not lead:
+        return p
+    den, terms = _clear_denominators(p)
+    r, scale = _reduce(terms, lead, order)
+    den *= scale
+    return MPoly(p.ctx, {m: Fraction(c, den) for m, c in r.items()})
+
+
 def reduce_poly(p, basis, order):
     """Full remainder of multivariate division of p by a list of
     polynomials: no remainder term is divisible by any basis leading
     monomial."""
-    if not basis:
-        return p
-    den, terms = _clear_denominators(p)
-    r, scale = _reduce(terms, [_lead(b, order) for b in basis], order)
-    den *= scale
-    return MPoly(p.ctx, {m: Fraction(c, den) for m, c in r.items()})
+    return _remainder(p, [_lead(b, order) for b in basis], order)
 
 
 def _spoly_terms(f, g):
@@ -238,7 +245,7 @@ class Ideal:
     The zero ideal is represented by a single zero generator.
     """
 
-    __slots__ = ("ctx", "generators", "_bases")
+    __slots__ = ("ctx", "generators", "_bases", "_leads")
 
     def __init__(self, ctx, generators):
         generators = list(generators)
@@ -250,6 +257,7 @@ class Ideal:
         self.ctx = ctx
         self.generators = tuple(generators)
         self._bases = {}
+        self._leads = {}  # order tag -> lead triples of that basis, built on first normal_form
 
     def groebner(self, order=None):
         order = order or self.ctx.order
@@ -260,7 +268,10 @@ class Ideal:
 
     def normal_form(self, p, order=None):
         order = order or self.ctx.order
-        return reduce_poly(p, self.groebner(order), order)
+        tag = order.tag
+        if tag not in self._leads:
+            self._leads[tag] = tuple(_lead(b, order) for b in self.groebner(order))
+        return _remainder(p, self._leads[tag], order)
 
     def contains(self, p, order=None):
         return self.normal_form(p, order).is_zero()

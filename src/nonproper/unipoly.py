@@ -38,13 +38,13 @@ def udeg(cs):
     return len(cs) - 1 if cs else -1
 
 
-# uadd, umul and upow work over any coefficient ring whose zero is falsy
-# (Fractions, MPolys); zero and one are that ring's identities
+# uadd, umul and upow work on Fraction lists; a multivariate polynomial
+# composed with a curve is expanded by curves.expand_along
 
 
-def uadd(a, b, zero=Q(0)):
+def uadd(a, b):
     n = max(len(a), len(b))
-    out = [zero] * n
+    out = [Q(0)] * n
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
@@ -60,10 +60,10 @@ def usub(a, b):
     return uadd(a, uneg(b))
 
 
-def umul(a, b, zero=Q(0)):
+def umul(a, b):
     if not a or not b:
         return []
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [Q(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
@@ -72,10 +72,10 @@ def umul(a, b, zero=Q(0)):
     return utrim(out)
 
 
-def upow(a, e, zero=Q(0), one=Q(1)):
-    out = [one]
+def upow(a, e):
+    out = [Q(1)]
     for _ in range(e):
-        out = umul(out, a, zero)
+        out = umul(out, a)
     return out
 
 

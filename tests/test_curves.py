@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonproper import (
@@ -106,6 +106,22 @@ class TestSubstituteCurve:
             t = Q(rng.randint(-50, 50), rng.randint(1, 9))
             assert comp.eval(t)[0] == p.evaluate(c.eval(t))
 
+    @settings(max_examples=40, derandomize=True)
+    @given(st.data())
+    def test_generated_polynomials_match_pointwise_evaluation(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        ctx = Context(tuple(f"y{i + 1}" for i in range(n)))
+        p = data.draw(mpolys(ctx=ctx, max_terms=4, max_exp=3))
+        # coordinates of degree up to 3, among them zero and constant ones
+        coords = [data.draw(st.one_of(st.just([]), st.lists(small_fractions, min_size=1, max_size=1),
+                                      st.lists(small_fractions, min_size=1, max_size=4)))
+                  for _ in range(n)]
+        c = ParametricCurve.from_coordinates(coords)
+        comp = substitute_curve(p, c)
+        for t in (Q(0), Q(1), Q(-2), Q(3, 5), Q(-7, 4), Q(11)):
+            assert comp.eval(t)[0] == p.evaluate(c.eval(t))
+        assert comp.degree_bound <= p.total_degree() * c.degree_bound
+
 
 class TestAnsatz:
     def test_axis_line(self):
@@ -129,10 +145,6 @@ class TestAnsatz:
     def test_base_point_off_variety(self):
         with pytest.raises(PreconditionError, match="off the variety"):
             ansatz_system(PARABOLA, (1, 3), 2)
-
-    def test_real_mode_appends_sphere(self):
-        sysm = ansatz_system(AXIS, (0, 0), 1, mode="real")
-        assert any("b1_1^2 + b2_1^2 - 1" == str(g) for g in sysm.ideal.generators)
 
 
 class TestVerifyCurve:
@@ -169,7 +181,7 @@ def rabinowitsch_no_smaller_curve(variety, a, d):
     """Reference minimality proof: every unknown coefficient of the
     degree-(d-1) ansatz vanishes on the ansatz ideal's zero set, decided
     by one Rabinowitsch radical-membership basis per unknown."""
-    system = ansatz_system(variety, a, d - 1, mode="complex")
+    system = ansatz_system(variety, a, d - 1)
     return all(
         vanishes_on(system.bctx.var(nm), system.ideal)
         for row in system.unknowns
@@ -287,6 +299,16 @@ class TestNoSmallerCurve:
         surface = V("y1 - y2^2 - y3^3", ctx=ctx)
         assert no_smaller_curve(surface, (0, 0, 0), d) is expected
         assert rabinowitsch_no_smaller_curve(surface, (0, 0, 0), d) is expected
+
+    @pytest.mark.parametrize("a", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_twist_components_match_oracle(self, d, a):
+        # y1 = y2^d holds the degree-d curve (a1 + ..., a2 + t) and no smaller one
+        twist = V(f"y1 - y2^{d}")
+        assert no_smaller_curve(twist, a, d) is True
+        assert rabinowitsch_no_smaller_curve(twist, a, d) is True
+        assert no_smaller_curve(twist, a, d + 1) is False
+        assert rabinowitsch_no_smaller_curve(twist, a, d + 1) is False
 
     def test_parabola_needs_degree_2(self):
         assert no_smaller_curve(PARABOLA, (4, 2), 2)

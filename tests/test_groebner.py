@@ -3,7 +3,7 @@ from fractions import Fraction
 from operator import add, le, sub
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonproper import (
@@ -352,6 +352,18 @@ def kernel_cases(draw, kind, max_gens=3):
     order = draw(orders(kind, n))
     polys = draw(st.lists(rational_polys(ctx), min_size=1, max_size=max_gens))
     return order, ctx, polys
+
+
+class TestNormalFormCache:
+    @settings(max_examples=40, derandomize=True)
+    @given(data=st.data(), lex_first=st.booleans())
+    def test_each_order_reduces_by_its_own_basis(self, data, lex_first):
+        _, ctx, gens = data.draw(kernel_cases("grevlex"))
+        ps = data.draw(st.lists(rational_polys(ctx, max_terms=6, max_deg=4), min_size=1, max_size=3))
+        I = Ideal(ctx, gens)
+        for p in ps:
+            for order in ((LEX, GREVLEX) if lex_first else (GREVLEX, LEX)):
+                assert I.normal_form(p, order) == reduce_poly(p, I.groebner(order), order)
 
 
 class TestIntegerKernelOracle:

@@ -27,6 +27,10 @@ from nonproper.mpoly import MPoly
 from nonproper.orders import GREVLEX, LEX
 from nonproper.unipoly import utrim
 
+from conftest import mpolys, small_fractions
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 XS = sp.symbols("x y z")
 
 
@@ -80,6 +84,51 @@ def twist_ansatz(d, deg):
     y1 - y2^d: the ideals certify --sharpness works on (2*deg unknowns)."""
     Y = Context(("y1", "y2"))
     return ansatz_system(Ideal(Y, [parse_poly(f"y1 - y2^{d}", Y)]), (1, 1), deg)
+
+
+@st.composite
+def ansatz_cases(draw):
+    """(variety, base point, d): g in 1-3 variables shifted by its value at
+    a rational point a, so that a lies on V(g), and d in 1..3."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    ctx = Context(tuple(f"y{i + 1}" for i in range(n)))
+    g = draw(mpolys(ctx=ctx, max_terms=4, max_exp=3))
+    a = tuple(draw(st.lists(small_fractions, min_size=n, max_size=n)))
+    return Ideal(ctx, [g - g.evaluate(a)]), a, draw(st.integers(min_value=1, max_value=3))
+
+
+def reference_ansatz_equations(g, a, d):
+    """The canonical nonzero t^k coefficients (k >= 1) of sympy's expansion
+    of g(a + sum_j b_ij t^j), in t-power order, each kept once."""
+    t = sp.Symbol("t")
+    rows = [sp.symbols(f"b{i + 1}_1:{d + 1}") for i in range(len(a))]
+    unknowns = [b for row in rows for b in row]
+    bctx = Context(tuple(map(str, unknowns)), GREVLEX)
+    curve = [sp.Rational(x.numerator, x.denominator) + sum(b * t ** j for j, b in enumerate(row, 1))
+             for x, row in zip(a, rows)]
+    by_power = {}
+    for (k, *exps), c in sp.Poly(to_sympy(g, curve), t, *unknowns).terms():
+        if k and c:
+            by_power.setdefault(k, {})[tuple(exps)] = Q(int(c.p), int(c.q))
+    out = []
+    for k in sorted(by_power):
+        e = MPoly(bctx, by_power[k]).canonical()
+        if e not in out:
+            out.append(e)
+    return bctx, out
+
+
+@settings(max_examples=40, derandomize=True)
+@given(ansatz_cases())
+def test_ansatz_equations_match_reference_expansion(case):
+    variety, a, d = case
+    g = variety.generators[0]
+    bctx, want = reference_ansatz_equations(g, a, d)
+    # a second generator -3*g repeats every equation, and each is kept once
+    for gens in ([g], [g, -3 * g]):
+        system = ansatz_system(Ideal(variety.ctx, gens), a, d)
+        assert system.bctx.names == bctx.names
+        assert [e.terms for e in system.equations] == [e.terms for e in want]
 
 
 @pytest.mark.parametrize("d", [3, 4])

@@ -26,8 +26,8 @@ from nonproper import (
     track,
     unit_normalize,
 )
-from nonproper.curves import eval_at_tpolys
 from nonproper.tracker import LimitTrace, StepRecord, norm_objective
+from nonproper.unipoly import uadd, umul, upow
 
 C2 = Context(("x1", "x2"))
 CXY = Context(("x", "y"))
@@ -90,8 +90,17 @@ def expanded_image_curve(f, base, mode):
     first for cylinder paths) and expand each monomial."""
     base = [Q(b) for b in base]
     coords = [[b, -b] if mode == "radial" or i == 0 else [b] for i, b in enumerate(base)]
-    return ParametricCurve.from_coordinates(
-        [eval_at_tpolys(comp, coords, Q(0), Q(1)) for comp in f.components])
+
+    def expand(comp):
+        total = []
+        for mono, c in comp.terms.items():
+            term = [c]
+            for cs, e in zip(coords, mono):
+                term = umul(term, upow(cs, e))
+            total = uadd(total, term)
+        return total
+
+    return ParametricCurve.from_coordinates([expand(comp) for comp in f.components])
 
 
 @st.composite
