@@ -260,9 +260,8 @@ def ansatz_system(variety, a, d):
             raise AssertionError("constant term must vanish for a base point on the variety")
         for k in sorted(by_power):
             e = MPoly(bctx, by_power[k]).canonical()
-            sig = frozenset(e.terms.items())
-            if sig not in seen:
-                seen.add(sig)
+            if e not in seen:  # MPoly hashes and compares by its term set
+                seen.add(e)
                 eqs.append(e)
     return AnsatzSystem(
         variety=variety,

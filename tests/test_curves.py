@@ -303,7 +303,7 @@ class TestNoSmallerCurve:
     @pytest.mark.parametrize("a", [(0, 0), (1, 1)])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_twist_components_match_oracle(self, d, a):
-        # y1 = y2^d holds the degree-d curve (a1 + ..., a2 + t) and no smaller one
+        # y1 = y2^d holds the degree-d curve ((a2 + t)^d, a2 + t) and none of lower degree
         twist = V(f"y1 - y2^{d}")
         assert no_smaller_curve(twist, a, d) is True
         assert rabinowitsch_no_smaller_curve(twist, a, d) is True
