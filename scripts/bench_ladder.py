@@ -14,8 +14,11 @@ For each side the script records:
   ``unresolved`` when either side's interquartile range, relative to its
   median, is wider than the metric's bound;
 - the in-process wall time of each case in CASES, in a fresh interpreter
-  on that side's ``src/`` (import time excluded).  A case that runs into
-  the CAP_S wall cap is recorded at the cap, flagged ``<side>_capped``.
+  on that side's ``src/`` (import time excluded), CASE_RUNS runs per side,
+  the sides alternating as above, recorded as each side's quartiles.  A
+  run that hits the CAP_S wall cap is recorded at the cap and flags
+  ``<side>_capped``; that side's later runs of the case are recorded at
+  the cap without being run.
 
 Progress goes to stderr.
 """
@@ -39,6 +42,7 @@ WORKLOADS = ("elim", "certify", "track")
 SEEDS = (1, 2)
 SECONDS = 15
 PAIRS = 10
+CASE_RUNS = 5
 CAP_S = 60
 
 
@@ -62,6 +66,20 @@ def _twist_certify_case(d):
             f"certify(V, (), {d}, [(0, 0), (1, 1)], sharpness=True)")
 
 
+def _twist_track_case(d):
+    """(name, setup code, timed expression) of sf_compute, track and
+    rationalize_verify on the twist map at the target (1, 1) along the
+    path (1/k^2, k^2), kmax 40."""
+    return (f"track (x + (x*y)^{d}, x*y) to (1,1) along (1/k^2, k^2), kmax 40",
+            "from fractions import Fraction as Q\n"
+            "from nonproper import (Context, PathSpec, PolyMap, parse_poly,\n"
+            "                       rationalize_verify, sf_compute, track)\n"
+            "C = Context(('x', 'y'))\n"
+            f"f = PolyMap(C, [parse_poly(t, C) for t in ['x + (x*y)^{d}', 'x*y']])\n"
+            "path = PathSpec.geometric(lambda k: (Q(1, k * k), Q(k * k)), 'radial', 40)",
+            "rationalize_verify(track(f, (1, 1), path), sf_compute(f))")
+
+
 # (name, setup code, timed expression); run with nonproper importable
 CASES = (
     ("squarefree_part(u^2*w, 'z'), the seed-5 oracle draw",
@@ -75,6 +93,7 @@ CASES = (
     _sf_case(["x^3*y^2 + x - y", "x^2*y + 2*y^2 + x"]),
     _sf_case(["x^4*y^3 + x - y", "x^3*y^2 + 2*y^2 + x"]),
     *(_twist_certify_case(d) for d in (3, 4, 5)),
+    *(_twist_track_case(d) for d in (4, 8, 12)),
 )
 
 TIMER = "{setup}\nimport time\nt = time.perf_counter()\n{expr}\nprint(time.perf_counter() - t)\n"
@@ -161,10 +180,19 @@ def main(argv=None):
                 bench[f"{workload} seed {seed}"] = summarize(runs, metrics)
         cases = []
         for name, setup, expr in CASES:
+            times = {"before": [], "after": []}
+            capped = {"before": False, "after": False}
+            for i in range(CASE_RUNS):
+                for side in (("before", "after") if i % 2 == 0 else ("after", "before")):
+                    print(f"case {name} run {i + 1} {side}", file=sys.stderr)
+                    if capped[side]:
+                        times[side].append(CAP_S)
+                        continue
+                    t, capped[side] = case_time(checkouts[side], setup, expr)
+                    times[side].append(t)
             row = {"case": name}
             for side in ("before", "after"):
-                print(f"case {name} {side}", file=sys.stderr)
-                row[f"{side}_s"], row[f"{side}_capped"] = case_time(checkouts[side], setup, expr)
+                row[f"{side}_s"], row[f"{side}_capped"] = _quartiles(times[side]), capped[side]
             cases.append(row)
     json.dump({
         "command": f"python3 scripts/bench_ladder.py --before {args.before} --after {args.after}",
@@ -173,7 +201,8 @@ def main(argv=None):
         "perfbench": {"seconds": SECONDS, "pairs": PAIRS,
                       "quartiles": "[q1, median, q3] of each side's runs",
                       "runs": bench},
-        "cases": {"cap_s": CAP_S, "rows": cases},
+        "cases": {"cap_s": CAP_S, "runs": CASE_RUNS,
+                  "quartiles": "[q1, median, q3] of each side's runs", "rows": cases},
     }, sys.stdout, indent=1)
     print()
     return 0

@@ -386,11 +386,19 @@ def _rational_roots(cs):
                 out.add(v // i)
         return sorted(out)
 
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Q(p, q), Q(-p, q)):
-                if cand not in roots and sum(c * cand ** i for i, c in enumerate(ints)) == 0:
-                    roots.append(cand)
+    # p/q in lowest terms is a root iff q^n f(p/q) = sum_i c_i p^i q^(n-i) = 0
+    ps = divisors(a0)
+    for q in divisors(an):
+        qpow = [q ** k for k in range(len(ints))]
+        for p in ps:
+            if math.gcd(p, q) > 1:
+                continue
+            for sp in (p, -p):
+                acc = 0
+                for c, qp in zip(reversed(ints), qpow):
+                    acc = acc * sp + c * qp
+                if acc == 0:
+                    roots.append(Q(sp, q))
     roots.sort()
     return roots
 

@@ -14,6 +14,12 @@ weight j evaluated at b.  So each monomial is evaluated once per step and
 the t-coefficients follow from integer binomials, with no t-polynomial
 arithmetic.
 
+Each normalization solves sum_i ||c_i||^2 lam^(2i) = 1 by bisection.  A
+Newton estimate of the root, checked against the objective with a margin
+far above its float rounding error, marks the bisection steps whose
+outcome is already known; those skip the evaluation, so lam is the same
+dyadic midpoint, bit for bit, as when every step evaluates.
+
 Everything exact happens in Fractions (the per-step image curves are
 exact); floats enter only for normalization and the convergence metric.
 The subsequence/compactness step of the underlying existence argument is
@@ -127,6 +133,28 @@ def norm_objective(norms2, lam):
     return sum(v * lam ** (2 * i) for i, v in enumerate(norms2))
 
 
+def _root_estimate(norms2, hi):
+    """Newton on log F(e^s) for F = norm_objective, from s = log hi down.
+
+    log F(e^s) is a log-sum-exp in s, so it is convex and increasing;
+    started right of the root, Newton goes down monotonically.  It stops
+    once F no longer exceeds 1 or the step no longer decreases lam."""
+    lam = hi
+    for _ in range(100):
+        f = df = 0.0
+        for i, v in enumerate(norms2):
+            term = v * lam ** (2 * i)
+            f += term
+            df += 2 * i * term
+        if not f > 1.0:
+            break
+        nxt = lam * math.exp(-f * math.log(f) / df)
+        if not nxt < lam:
+            break
+        lam = nxt
+    return lam
+
+
 def unit_normalize(coeffs):
     """(lam, normalized) with normalized = c_i * lam^i of unit Euclidean
     norm, lam > 0 solved by bracket doubling plus bisection.
@@ -134,8 +162,18 @@ def unit_normalize(coeffs):
     ``coeffs`` is a sequence of coefficient rows; the result rows are
     tuples of complex.  Requires the constant coefficient to have norm < 1
     (otherwise the step is not yet in the convergence regime) and some
-    higher coefficient to be nonzero (otherwise the curve is constant)."""
-    rows = [tuple(complex(c) for c in row) for row in coeffs]
+    higher coefficient to be nonzero (otherwise the curve is constant).
+
+    Bisection midpoints whose outcome is already known are not evaluated.
+    From a Newton root estimate r, a = r(1 - 1e-12) is kept if
+    sqrt(F(a)) <= 1 - 2e-13 and b = min(r(1 + 1e-12), hi) if
+    sqrt(F(b)) >= 1 + 2e-13.  F's float value is within a relative
+    (depth + 3) * 2^-53 of its exact value, far inside that margin, so a
+    midpoint below a would evaluate below 1 - 1e-13 (lo moves up) and one
+    above b above 1 + 1e-13 (hi moves down): lam is the same midpoint, bit
+    for bit, and a poor or NaN estimate only costs evaluations."""
+    rows = [tuple(complex(c.numerator / c.denominator) if isinstance(c, Fraction)
+                  else complex(c) for c in row) for row in coeffs]
     norms2 = [sum(a * a for a in map(abs, row)) for row in rows]
     if norms2[0] >= 1.0:
         raise PreconditionError(
@@ -150,15 +188,27 @@ def unit_normalize(coeffs):
         hi *= 2.0
     else:
         raise PreconditionError("failed to bracket the normalization root")
+    r = _root_estimate(norms2, hi)
+    below, above = r * (1 - 1e-12), min(r * (1 + 1e-12), hi)
+    if not math.sqrt(norm_objective(norms2, below)) <= 1 - 2e-13:
+        below = 0.0
+    if not math.sqrt(norm_objective(norms2, above)) >= 1 + 2e-13:
+        above = hi
     lam = hi
     for _ in range(300):
         mid = 0.5 * (lo + hi)
+        lam = mid
+        if mid < below:
+            lo = mid
+            continue
+        if mid > above:
+            hi = mid
+            continue
         val = norm_objective(norms2, mid)
         if val < 1.0:
             lo = mid
         else:
             hi = mid
-        lam = mid
         if abs(math.sqrt(val) - 1.0) < 1e-13:
             break
     scaled = tuple(tuple(c * lam ** i for c in row) for i, row in enumerate(rows))

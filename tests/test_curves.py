@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -26,7 +27,7 @@ from nonproper import (
     verify_curve,
     verify_curve_pointwise,
 )
-from nonproper.curves import compose_scalar
+from nonproper.curves import _rational_roots, compose_scalar
 from nonproper.groebner import vanishes_on
 from nonproper.orders import LEX
 
@@ -145,6 +146,66 @@ class TestAnsatz:
     def test_base_point_off_variety(self):
         with pytest.raises(PreconditionError, match="off the variety"):
             ansatz_system(PARABOLA, (1, 3), 2)
+
+
+def fraction_rational_roots(cs):
+    """Reference rational roots: every divisor pair p/q of the primitive
+    integer coefficients, as p/q and -p/q, evaluated over Fractions."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if len(cs) <= 1:
+        return []
+    roots = []
+    if cs[0] == 0:
+        roots.append(Q(0))
+        while cs[0] == 0:
+            cs = cs[1:]
+    if len(cs) == 1:
+        return roots
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+
+    def divisors(v):
+        return [i for i in range(1, v + 1) if v % i == 0]
+
+    for p in divisors(abs(ints[0])):
+        for q in divisors(abs(ints[-1])):
+            for cand in (Q(p, q), Q(-p, q)):
+                if cand not in roots and sum(c * cand ** i for i, c in enumerate(ints)) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestRationalRoots:
+    @settings(max_examples=60, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=4),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+           st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda s: s != 0))
+    def test_matches_fraction_search_with_planted_roots(self, planted, cofactor, scale):
+        cs = cofactor
+        for p, q in planted:
+            cs = _times(cs, [-p, q])
+        cs = [scale * c for c in cs]
+        roots = _rational_roots(cs)
+        assert roots == fraction_rational_roots(cs)
+        assert all(Q(p, q) in roots for p, q in planted if len(cs) > 1)
+
+    def test_known_roots(self):
+        assert _rational_roots([Q(-6), Q(1), Q(1)]) == [-3, 2]
+        assert _rational_roots([Q(0), Q(0), Q(-1), Q(0), Q(4)]) == [Q(-1, 2), 0, Q(1, 2)]
+        assert _rational_roots([Q(3), Q(-2), Q(-3), Q(2)]) == [-1, 1, Q(3, 2)]
+        assert _rational_roots([Q(1), Q(0), Q(1)]) == []
 
 
 class TestVerifyCurve:

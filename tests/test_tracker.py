@@ -1,12 +1,13 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 from conftest import mpolys, small_fractions
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nonproper
@@ -26,6 +27,7 @@ from nonproper import (
     track,
     unit_normalize,
 )
+from nonproper import tracker
 from nonproper.tracker import LimitTrace, StepRecord, norm_objective
 from nonproper.unipoly import uadd, umul, upow
 
@@ -167,6 +169,129 @@ class TestUnitNormalize:
         norms2 = [0.25, 3.0, 0.0, 7.0]
         samples = [norm_objective(norms2, 0.1 * i) for i in range(1, 11)]
         assert all(a < b for a, b in zip(samples, samples[1:]))
+
+
+def bisection_unit_normalize(coeffs):
+    """Reference normalization: bracket doubling, then bisection that
+    evaluates the objective at every midpoint."""
+    rows = [tuple(complex(c) for c in row) for row in coeffs]
+    norms2 = [sum(a * a for a in map(abs, row)) for row in rows]
+    if norms2[0] >= 1.0:
+        raise PreconditionError("constant coefficient norm is >= 1")
+    if len(norms2) < 2 or all(v == 0 for v in norms2[1:]):
+        raise ConstantCurveError("image curve is constant")
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if norm_objective(norms2, hi) >= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise PreconditionError("failed to bracket the normalization root")
+    lam = hi
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        val = norm_objective(norms2, mid)
+        if val < 1.0:
+            lo = mid
+        else:
+            hi = mid
+        lam = mid
+        if abs(math.sqrt(val) - 1.0) < 1e-13:
+            break
+    scaled = tuple(tuple(c * lam ** i for c in row) for i, row in enumerate(rows))
+    return lam, scaled
+
+
+def normalize_outcome(normalize, coeffs):
+    """The result, or the type of the error, of one normalization."""
+    try:
+        return normalize(coeffs)
+    except (PreconditionError, ConstantCurveError, OverflowError) as exc:
+        return type(exc)
+
+
+@st.composite
+def normalization_rows(draw):
+    """Rows of depth 2-12 and 1-3 columns, float or Fraction, with zero
+    entries and magnitudes 1e-30..1e30; the constant row is scaled under
+    unit norm, sometimes just under it."""
+    depth = draw(st.integers(min_value=2, max_value=12))
+    cols = draw(st.integers(min_value=1, max_value=3))
+    entry = st.one_of(st.just(0.0), st.builds(
+        lambda m, e: m * 10.0 ** e,
+        st.floats(min_value=-1, max_value=1, allow_nan=False), st.integers(-30, 30)))
+    rows = [[draw(entry) for _ in range(cols)] for _ in range(depth)]
+    norm0 = math.sqrt(sum(x * x for x in rows[0]))
+    if norm0 >= 1.0:
+        shrink = draw(st.sampled_from((0.5, 1 - 1e-9, 1 - 1e-15)))
+        rows[0] = [x / norm0 * shrink for x in rows[0]]
+    assume(any(x for row in rows[1:] for x in row))
+    if draw(st.booleans()):
+        rows = [[Q(x) for x in row] for row in rows]
+    return rows
+
+
+def twist_target_path(d):
+    # (1/k^2, k^2) runs into the target (1, 1) of the twist map
+    return twist(d), (1, 1), lambda k: (Q(1, k * k), Q(k * k))
+
+
+SCHEDULES = [twist_target_path(d) for d in range(2, 9)] + [
+    (SCALING, (0, 1), lambda k: (Q(1, k * k), Q(k * k)))]
+
+
+def schedule_rows(f, target, point_fn, kmax=40):
+    """The coefficient rows track normalizes along a geometric schedule."""
+    shifted = replace(f, components=tuple(c - Q(t) for c, t in zip(f.components, target)))
+    return [image_curve(shifted, point_fn(2 ** i)).coeffs for i in range(1, kmax + 1)]
+
+
+class TestSkippedBisection:
+    """unit_normalize skips the objective at midpoints a Newton seed
+    decides; it must return what the evaluate-every-midpoint bisection
+    returns, float for float."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(normalization_rows())
+    @example([[1 - 1e-16], [3.0], [0.0]])  # constant row just under unit norm
+    @example([[Q(1, 3), Q(0)], [Q(1, 10**20), Q(2, 10**21)], [Q(1, 10**25), Q(0)]])  # lam > 1
+    @example([[0.0], [1e-30], [0.0], [1e-30]])  # lam > 1 after many doublings
+    @example([[0.5, 0.0], [1e30, -1e30]])
+    def test_matches_bisection_on_generated_rows(self, rows):
+        assert (normalize_outcome(unit_normalize, rows)
+                == normalize_outcome(bisection_unit_normalize, rows))
+
+    @pytest.mark.parametrize("f,target,point_fn", SCHEDULES)
+    def test_matches_bisection_on_tracker_schedules(self, f, target, point_fn):
+        for coeffs in schedule_rows(f, target, point_fn):
+            assert (normalize_outcome(unit_normalize, coeffs)
+                    == normalize_outcome(bisection_unit_normalize, coeffs))
+
+    @pytest.mark.parametrize("perturb", [lambda r: float("nan"), lambda r: 0.9 * r,
+                                         lambda r: 1.1 * r])
+    def test_wrong_seed_changes_nothing(self, perturb, monkeypatch):
+        cases = [c for sched in SCHEDULES[::3] for c in schedule_rows(*sched, kmax=30)]
+        cases += [[[0.6], [1.0]], [[0.3, 0.1], [2.0, -1.0], [0.5, 4.0]], [[0.0], [1e-20]]]
+        want = [normalize_outcome(unit_normalize, c) for c in cases]
+        estimate = tracker._root_estimate
+        monkeypatch.setattr(tracker, "_root_estimate",
+                            lambda norms2, hi: perturb(estimate(norms2, hi)))
+        assert [normalize_outcome(unit_normalize, c) for c in cases] == want
+
+    def test_few_objective_evaluations_per_normalization(self, monkeypatch):
+        calls = []
+
+        def counted(norms2, lam):
+            calls.append(lam)
+            return norm_objective(norms2, lam)
+
+        monkeypatch.setattr(tracker, "norm_objective", counted)
+        normalized = 0
+        for d in (2, 5, 8, 12):
+            for coeffs in schedule_rows(*twist_target_path(d)):
+                normalized += not isinstance(normalize_outcome(unit_normalize, coeffs), type)
+        assert normalized > 100
+        assert len(calls) / normalized <= 12
 
 
 class TestTrack:
