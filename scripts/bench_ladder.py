@@ -15,10 +15,13 @@ For each side the script records:
   median, is wider than the metric's bound;
 - the in-process wall time of each case in CASES, in a fresh interpreter
   on that side's ``src/`` (import time excluded), CASE_RUNS runs per side,
-  the sides alternating as above, recorded as each side's quartiles.  A
-  run that hits the CAP_S wall cap is recorded at the cap and flags
-  ``<side>_capped``; that side's later runs of the case are recorded at
-  the cap without being run.
+  the sides alternating as above, recorded as each side's quartiles, the
+  number of runs in which the after run (against the before run of the
+  same index) is faster, and ``unresolved`` when either side's
+  interquartile range, relative to its median, is wider than the
+  ``job_p50_s`` bound.  A run that hits the CAP_S wall cap is recorded at
+  the cap and flags ``<side>_capped``; that side's later runs of the case
+  are recorded at the cap without being run.
 
 Progress goes to stderr.
 """
@@ -49,7 +52,9 @@ CAP_S = 60
 def _sf_case(components):
     """(name, setup code, timed expression) of sf_compute on a map in x, y."""
     return (f"sf ({', '.join(components)})",
-            "from nonproper import Context, PolyMap, parse_poly, sf_compute\n"
+            "from nonproper.mpoly import Context\n"
+            "from nonproper.parser import parse_poly\n"
+            "from nonproper.properness import PolyMap, sf_compute\n"
             "C = Context(('x', 'y'))\n"
             f"f = PolyMap(C, [parse_poly(t, C) for t in {components!r}])",
             "sf_compute(f)")
@@ -59,8 +64,11 @@ def _twist_certify_case(d):
     """(name, setup code, timed expression) of certify --sharpness on the
     twist component y1 - y2^d at (0, 0) and (1, 1)."""
     return (f"certify --sharpness y1 - y2^{d} at (0,0), (1,1)",
-            "from nonproper import Context, Ideal, certify, parse_poly\n"
+            "from nonproper.curves import certify\n"
+            "from nonproper.groebner import Ideal\n"
+            "from nonproper.mpoly import Context\n"
             "from nonproper.orders import LEX\n"
+            "from nonproper.parser import parse_poly\n"
             "C = Context(('y1', 'y2'), LEX)\n"
             f"V = Ideal(C, [parse_poly('y1 - y2^{d}', C)])",
             f"certify(V, (), {d}, [(0, 0), (1, 1)], sharpness=True)")
@@ -72,8 +80,10 @@ def _twist_track_case(d):
     path (1/k^2, k^2), kmax 40."""
     return (f"track (x + (x*y)^{d}, x*y) to (1,1) along (1/k^2, k^2), kmax 40",
             "from fractions import Fraction as Q\n"
-            "from nonproper import (Context, PathSpec, PolyMap, parse_poly,\n"
-            "                       rationalize_verify, sf_compute, track)\n"
+            "from nonproper.mpoly import Context\n"
+            "from nonproper.parser import parse_poly\n"
+            "from nonproper.properness import PolyMap, sf_compute\n"
+            "from nonproper.tracker import PathSpec, rationalize_verify, track\n"
             "C = Context(('x', 'y'))\n"
             f"f = PolyMap(C, [parse_poly(t, C) for t in ['x + (x*y)^{d}', 'x*y']])\n"
             "path = PathSpec.geometric(lambda k: (Q(1, k * k), Q(k * k)), 'radial', 40)",
@@ -83,8 +93,9 @@ def _twist_track_case(d):
 # (name, setup code, timed expression); run with nonproper importable
 CASES = (
     ("squarefree_part(u^2*w, 'z'), the seed-5 oracle draw",
-     "from nonproper import Context, parse_poly, squarefree_part\n"
+     "from nonproper.mpoly import Context, squarefree_part\n"
      "from nonproper.orders import LEX\n"
+     "from nonproper.parser import parse_poly\n"
      "C = Context(('x', 'y', 'z'), LEX)\n"
      "u = parse_poly('-3*x^2*y^2*z^2 + 2*x*y^2*z - 4*y^2 + z', C)\n"
      "w = parse_poly('5*x^2 + 2*x*z + z^2', C)\n"
@@ -124,6 +135,12 @@ def _quartiles(values):
     return [round(q1, 6), round(q2, 6), round(q3, 6)]
 
 
+def _unresolved(quartiles, bound):
+    """Whether any side's interquartile range, relative to its median, is
+    wider than bound, so the sides cannot be told apart."""
+    return any((q[2] - q[0]) / q[1] > bound for q in quartiles)
+
+
 def summarize(runs, metrics):
     """Per metric: quartiles of each side, pairs the after side wins, and
     whether the spread of either side exceeds the metric's bound."""
@@ -139,7 +156,7 @@ def summarize(runs, metrics):
             **qs,
             "after_better_pairs": sum(sign * (a - b) > 0
                                       for b, a in zip(vals["before"], vals["after"])),
-            "unresolved": any((q[2] - q[0]) / q[1] > m["bound"] for q in qs.values()),
+            "unresolved": _unresolved(qs.values(), m["bound"]),
         }
     return out
 
@@ -163,6 +180,7 @@ def main(argv=None):
     ap.add_argument("--after", required=True, help="git revision of the after side")
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    case_bound = next(m["bound"] for m in metrics if m["name"] == "job_p50_s")
     with tempfile.TemporaryDirectory() as tmp:
         checkouts, sides = {}, {}
         for side in ("before", "after"):
@@ -193,6 +211,8 @@ def main(argv=None):
             row = {"case": name}
             for side in ("before", "after"):
                 row[f"{side}_s"], row[f"{side}_capped"] = _quartiles(times[side]), capped[side]
+            row["after_better_runs"] = sum(a < b for b, a in zip(times["before"], times["after"]))
+            row["unresolved"] = _unresolved((row["before_s"], row["after_s"]), case_bound)
             cases.append(row)
     json.dump({
         "command": f"python3 scripts/bench_ladder.py --before {args.before} --after {args.after}",

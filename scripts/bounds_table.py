@@ -2,52 +2,31 @@
 """Print the degree-bound table next to the certified uniruledness degree
 of the non-properness set, for every corpus map."""
 
-from fractions import Fraction as Q
-
-from nonproper import Context, Ideal, PolyMap, certify, parse_poly, sf_compute, theorem_bound
-
-C2 = Context(("x1", "x2"))
-C3 = Context(("x1", "x2", "x3"))
-CXY = Context(("x", "y"))
-
-
-def rows():
-    scaling2 = PolyMap(C2, (parse_poly("x1", C2), parse_poly("x1*x2", C2)))
-    scaling3 = PolyMap(C3, tuple(parse_poly(t, C3) for t in ("x1", "x1*x2", "x1*x3")))
-    hyper = PolyMap(
-        C3,
-        (parse_poly("x2", C3), parse_poly("x3", C3)),
-        domain=Ideal(C3, [parse_poly("x1*x2 - 1", C3)]),
-    )
-    out = [
-        ("scaling_n2", scaling2, 1, [(Q(0), Q(0)), (Q(0), Q(2))], None),
-        ("scaling_n3", scaling3, 1, [(Q(0), Q(0), Q(0)), (Q(0), Q(1), Q(2))], None),
-        ("hyperbola", hyper, 1, [(Q(0), Q(0)), (Q(0), Q(1))], 1),
-    ]
-    for d in (2, 3):
-        f = PolyMap(CXY, (parse_poly(f"x + (x*y)^{d}", CXY), parse_poly("x*y", CXY)))
-        out.append((f"twist_d{d}", f, d,
-                    [(Q(0), Q(0)), (Q(1), Q(1)), (Q(2 ** d), Q(2))], None))
-    return out
+from nonproper.corpus import CORPUS
+from nonproper.curves import certify
+from nonproper.errors import PreconditionError
+from nonproper.properness import sf_compute, theorem_bound
 
 
 def main():
-    print(f"{'map':14s} {'deg f':>5s} {'cn':>4s} {'wn':>4s} {'multc':>6s} {'certified':>10s}")
-    for name, f, degree, samples, d1 in rows():
-        sf = sf_compute(f)
+    print(f"{'map':20s} {'deg f':>5s} {'cn':>4s} {'wn':>4s} {'multc':>6s} {'certified':>10s}")
+    for entry in CORPUS:
+        if entry.kind != "map":
+            continue
+        prob = entry.load()
+        f = prob.polymap()
         vals = {}
         for mode in ("cn", "wn", "multc"):
             try:
-                vals[mode] = theorem_bound(f, mode, d1=d1)
-            except Exception:
-                vals[mode] = None
-        cert = certify(sf.components[0], (), degree, samples,
-                       sharpness=degree >= 2)
+                vals[mode] = str(theorem_bound(f, mode, d1=prob.d1))
+            except PreconditionError:
+                vals[mode] = "-"
+        cert = certify(sf_compute(f).components[0], (), prob.degree, prob.samples,
+                       sharpness=prob.sharpness)
         sharp = all(cert.minimality.values()) if cert.minimality else None
-        certified = f"{degree}{'=' if sharp else ''}" if cert.status == "verified" else "?"
-        fmt = lambda v: "-" if v is None else str(v)
-        print(f"{name:14s} {f.degree:>5d} {fmt(vals['cn']):>4s} {fmt(vals['wn']):>4s} "
-              f"{fmt(vals['multc']):>6s} {certified:>10s}")
+        certified = f"{prob.degree}{'=' if sharp else ''}" if cert.status == "verified" else "?"
+        print(f"{entry.name:20s} {f.degree:>5d} {vals['cn']:>4s} {vals['wn']:>4s} "
+              f"{vals['multc']:>6s} {certified:>10s}")
     print("\n('=' marks a certified no-smaller-curve proof at the sampled points)")
 
 

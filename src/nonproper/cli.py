@@ -202,7 +202,7 @@ def cmd_track(args, prob):
                 "lambda_growth": [float(x) for x in trace.lambda_growth()],
                 "diffs": [float(d) for d in trace.diffs],
                 "limit_estimate": [
-                    [repr(complex(c)) for c in row] for row in trace.limit_estimate.coeffs
+                    [repr(complex(c)) for c in row] for row in trace.limit_estimate
                 ],
             }
             checks.append((f"converged[{idx}]", trace.status == "converged", trace.status))

@@ -99,22 +99,15 @@ def _map_entry_checks(entry, expected):
     checks.append(Check("cross_oracle", ok, detail))
 
     for mode, want in expected.get("bounds", {}).items():
-        got = theorem_bound(f, mode, d1=expected.get("d1"))
+        got = theorem_bound(f, mode, d1=prob.d1)
         checks.append(Check(f"bound_{mode}", got == want, f"got {got}, want {want}"))
 
-    cert_spec = expected.get("certify")
-    if cert_spec:
+    if prob.degree:
         comp = sf.components[0]
-        cert = certify(
-            comp,
-            (),
-            cert_spec["degree"],
-            cert_spec["samples"],
-            mode="complex",
-            sharpness=cert_spec.get("sharpness", False),
-        )
+        cert = certify(comp, (), prob.degree, prob.samples, mode="complex",
+                       sharpness=prob.sharpness)
         checks.append(Check("certificate", cert.status == "verified", cert.status))
-        if cert_spec.get("sharpness"):
+        if prob.sharpness:
             checks.append(
                 Check("sharpness", all(cert.minimality.values()) and bool(cert.minimality))
             )
@@ -122,21 +115,18 @@ def _map_entry_checks(entry, expected):
             verify_curve_pointwise(comp, c) for c in cert.curves()
         )
         checks.append(Check("certificate_sound", sound))
-        bounds = [theorem_bound(f, m, d1=expected.get("d1")) for m in expected.get("bounds", {})]
+        bounds = [theorem_bound(f, m, d1=prob.d1) for m in expected.get("bounds", {})]
         if bounds:
             checks.append(
                 Check(
                     "certified_degree_within_bounds",
-                    all(cert_spec["degree"] <= b for b in bounds),
-                    f"degree {cert_spec['degree']} vs bounds {bounds}",
+                    all(prob.degree <= b for b in bounds),
+                    f"degree {prob.degree} vs bounds {bounds}",
                 )
             )
 
-    track_spec = expected.get("track")
-    if track_spec:
-        target = track_spec["target"]
-        path = prob.path_specs()[0]
-        trace = track(f, target, path)
+    if prob.paths:
+        trace = track(f, prob.targets[0], prob.path_specs()[0])
         checks.append(Check("track_converged", trace.status == "converged", trace.status))
         if trace.status == "converged":
             verified = rationalize_verify(trace, sf)
@@ -169,7 +159,7 @@ def _control_checks(entry, expected):
     if expected.get("track_must_fail"):
         path = prob.path_specs()[0]
         try:
-            track(f, expected["target"], path)
+            track(f, prob.targets[0], path)
             checks.append(Check("track_precondition", False, "tracking unexpectedly ran"))
         except PreconditionError as e:
             checks.append(Check("track_precondition", True, str(e)[:50]))
@@ -321,46 +311,17 @@ CORPUS = [
 ]
 
 
+# expected outcomes only: every input of a check comes from the entry's problem
 EXPECTED = {
     "scaling_n2": {
         "components": [["y1"]],
         "bounds": {"cn": 1, "wn": 1},
-        "certify": {"degree": 1, "samples": [(0, 0), (0, 1), (0, -2)]},
-        "track": {"target": (0, 1)},
         "proper_at": [((1, 0), True), ((0, 0), False)],
     },
-    "scaling_n3": {
-        "components": [["y1"]],
-        "bounds": {"cn": 1, "wn": 1},
-        "certify": {"degree": 1, "samples": [(0, 0, 0), (0, 1, -1), (0, 2, 5)]},
-        "track": {"target": (0, 1, 1)},
-    },
-    "graph_twist_d2": {
-        "components": [["y1 - y2^2"]],
-        "bounds": {"cn": 3, "wn": 2},
-        "certify": {
-            "degree": 2,
-            "samples": [(0, 0), (1, 1), (4, 2)],
-            "sharpness": True,
-        },
-        "track": {"target": (4, 2)},
-    },
-    "graph_twist_d3": {
-        "components": [["y1 - y2^3"]],
-        "bounds": {"cn": 5, "wn": 3},
-        "certify": {
-            "degree": 3,
-            "samples": [(0, 0), (1, 1), (8, 2)],
-            "sharpness": True,
-        },
-        "track": {"target": (8, 2)},
-    },
-    "hyperbola_projection": {
-        "components": [["y1"]],
-        "bounds": {"multc": 1},
-        "d1": 1,
-        "certify": {"degree": 1, "samples": [(0, 0), (0, 3), (0, -1)]},
-    },
+    "scaling_n3": {"components": [["y1"]], "bounds": {"cn": 1, "wn": 1}},
+    "graph_twist_d2": {"components": [["y1 - y2^2"]], "bounds": {"cn": 3, "wn": 2}},
+    "graph_twist_d3": {"components": [["y1 - y2^3"]], "bounds": {"cn": 5, "wn": 3}},
+    "hyperbola_projection": {"components": [["y1"]], "bounds": {"multc": 1}},
     "quadrant": {
         "ruling_curve": {"curve": ["1", "t^2"], "through": (1, 0)},
     },
@@ -368,7 +329,7 @@ EXPECTED = {
     "translation_action": {"fixed_locus": ["1"]},
     "parabolic_action": {"fixed_locus": ["y^2"]},
     "broken_action": {"invalid": True},
-    "identity_control": {"track_must_fail": True, "target": (0, 0)},
+    "identity_control": {"track_must_fail": True},
     "linear_mix_control": {},
     "odd_cubic_control": {},
     "component_squares_control": {},

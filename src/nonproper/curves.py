@@ -651,12 +651,8 @@ def certify(variety, inequalities, d, samples, mode="complex", sharpness=False, 
         pt = tuple(Q(x) for x in pt)
         if not _check_on_variety(variety, pt, inequalities, mode):
             raise PreconditionError(f"sample {tuple(map(str, pt))} is off the variety")
-        curve = find_curve(variety, pt, d, mode, inequalities, seed=seed)
-        if curve is not None:
-            report = verify_curve(variety, inequalities, curve, pt, d, mode)
-            if not report.ok:
-                curve = None
-        entries.append((pt, curve))
+        # find_curve returns only curves that verify_curve passed
+        entries.append((pt, find_curve(variety, pt, d, mode, inequalities, seed=seed)))
     if sharpness:
         for pt, _ in entries[:_SHARPNESS_SAMPLES]:
             if d >= 2:
@@ -696,15 +692,6 @@ def _inner_candidate(h, r):
     return g
 
 
-def _g_adic_digits(w, g):
-    digits = []
-    while w:
-        q, rem = udivmod(w, g)
-        digits.append(rem)
-        w = q
-    return digits
-
-
 def compose_scalar(f, g):
     """f(g(t)) for coefficient lists."""
     acc = [Q(0)]
@@ -717,6 +704,21 @@ def compose_scalar(f, g):
     return utrim(acc)
 
 
+def _outer_through(cs, g):
+    """The outer coefficient list f with f(g) = cs, or None when cs does
+    not factor through g: every g-adic digit of cs must be a constant,
+    and the round trip is checked exactly."""
+    outer = []
+    w = cs
+    while w:
+        w, digit = udivmod(w, g)
+        if udeg(digit) > 0:
+            return None
+        outer.append(digit[0] if digit else Q(0))
+    outer = utrim(outer)
+    return outer if compose_scalar(outer, g) == cs else None
+
+
 def decompose(u):
     """Write the coefficient list u = outer(inner) with inner of maximal
     degree among proper decompositions, inner monic with inner(0) = 0;
@@ -726,16 +728,12 @@ def decompose(u):
     n = udeg(cs)
     if n < 1:
         raise PreconditionError("cannot decompose a constant polynomial")
-    lc = cs[-1]
     h = umonic(cs)
     for r in _divisors_desc(n):
         g = _inner_candidate(h, r)
-        digits = _g_adic_digits(h, g)
-        if all(udeg(d) <= 0 for d in digits):
-            fhat = [d[0] if d else Q(0) for d in digits]
-            outer = [c * lc for c in fhat]
-            if compose_scalar(outer, g) == cs:
-                return outer, g
+        outer = _outer_through(cs, g)
+        if outer is not None:
+            return outer, g
     return cs, [Q(0), Q(1)]
 
 
@@ -752,24 +750,9 @@ def common_inner(curve):
         gdeg = math.gcd(gdeg, udeg(cs))
     for r in sorted([v for v in range(2, gdeg + 1) if gdeg % v == 0], reverse=True):
         g = _inner_candidate(umonic(noncon[0]), r)
-        outers = []
-        ok = True
-        for cs in coords:
-            if udeg(cs) < 1:
-                outers.append(cs)
-                continue
-            digits = _g_adic_digits(cs, g)
-            if not all(udeg(d) <= 0 for d in digits):
-                ok = False
-                break
-            fi = utrim([d[0] if d else Q(0) for d in digits])
-            if compose_scalar(fi, g) != cs:
-                ok = False
-                break
-            outers.append(fi)
-        if ok:
-            outer_curve = ParametricCurve.from_coordinates(outers, curve.mode)
-            return outer_curve, g
+        outers = [cs if udeg(cs) < 1 else _outer_through(cs, g) for cs in coords]
+        if all(o is not None for o in outers):
+            return ParametricCurve.from_coordinates(outers, curve.mode), g
     return curve, [Q(0), Q(1)]
 
 

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .curves import ParametricCurve, common_inner, substitute_curve
+from .curves import ParametricCurve, common_inner, verify_curve
 from .errors import NonproperError, PreconditionError, VerificationError
 from .rationals import snap_rational
 from .unipoly import Q
@@ -225,28 +225,6 @@ class StepRecord:
 
 
 @dataclass(frozen=True)
-class FloatCurve:
-    """Floating estimate of the limit curve (coefficient matrix rows are
-    t-powers)."""
-
-    coeffs: tuple  # degree+1 rows of m complex numbers
-
-    @property
-    def m(self):
-        return len(self.coeffs[0])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def eval(self, t):
-        acc = (0j,) * self.m
-        for row in reversed(self.coeffs):
-            acc = tuple(a * t + c for a, c in zip(acc, row))
-        return acc
-
-
-@dataclass(frozen=True)
 class LimitTrace:
     """Everything a tracking run produced, exact and floating."""
 
@@ -255,7 +233,7 @@ class LimitTrace:
     steps: tuple
     diffs: tuple  # consecutive sup-norm differences after phase alignment
     status: str  # converged | diverged | constant-curve-hit
-    limit_estimate: FloatCurve
+    limit_estimate: tuple  # rows of complex, t-powers, translated back by the target
     lambdas: tuple
 
     @property
@@ -336,11 +314,11 @@ def track(f, target, path, tol=1e-8):
             status = "converged"
         else:
             status = "diverged"
-    limit = FloatCurve(((0j,) * f.m,))
+    limit = ((0j,) * f.m,)
     for s in reversed(steps):
         if s.in_regime:
             row0 = tuple(c + complex(t) for c, t in zip(s.normalized[0], target))
-            limit = FloatCurve((row0,) + s.normalized[1:])
+            limit = (row0,) + s.normalized[1:]
             break
     lambdas = tuple(s.lam for s in steps if s.in_regime)
     return LimitTrace(
@@ -391,23 +369,15 @@ def rationalize_verify(trace, sf):
     if not sf.components:
         raise VerificationError("the non-properness set is empty; no curve can lie in it")
     # the image of the line is irreducible, so it must sit inside one
-    # component of the set; exactness means every generator of that
-    # component composes to zero
-    failing = None
+    # component of the set; exactness means the curve satisfies all of
+    # that component's equations
     for comp in sf.components:
-        ok = True
-        for g in comp.canonical_generators():
-            if g.is_zero():
-                continue
-            if not substitute_curve(g, curve).is_zero():
-                ok = False
-                failing = g
-                break
-        if ok:
+        report = verify_curve(comp, (), curve)
+        if report.equations_ok:
             break
     else:
         raise VerificationError(
-            f"limit curve does not satisfy the component generator {failing}"
+            f"limit curve does not satisfy the component generator {report.failing_generator}"
         )
     outer, inner = common_inner(curve)
     return VerifiedLimit(curve=curve, outer=outer, inner=inner)

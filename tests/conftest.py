@@ -2,7 +2,7 @@ import hypothesis
 from fractions import Fraction
 from hypothesis import strategies as st
 
-from nonproper import Context, MPoly
+from nonproper.mpoly import Context, MPoly
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")

@@ -10,34 +10,28 @@ from pathlib import Path
 
 import pytest
 
-from nonproper import (
-    Context,
-    Ideal,
+from nonproper.cli import main as cli_main
+from nonproper.curves import (
     ParametricCurve,
-    PathSpec,
-    PolyMap,
-    PreconditionError,
     certify,
     common_inner,
+    compose_scalar,
     cover_image_real,
     curve_relations,
-    dimension,
+    decompose,
     fixed_locus,
     no_smaller_curve,
     one_param_action,
-    parse_poly,
-    rationalize_verify,
-    sf_components_resultant,
-    sf_compute,
     substitute_curve,
-    theorem_bound,
-    track,
-    vanishes_on,
     verify_curve,
 )
-from nonproper.cli import main as cli_main
-from nonproper.curves import compose_scalar, decompose
+from nonproper.errors import PreconditionError
+from nonproper.groebner import Ideal, dimension, vanishes_on
+from nonproper.mpoly import Context
 from nonproper.orders import LEX
+from nonproper.parser import parse_poly
+from nonproper.properness import PolyMap, sf_components_resultant, sf_compute, theorem_bound
+from nonproper.tracker import PathSpec, rationalize_verify, track
 
 from sampling import images_mutually_close
 

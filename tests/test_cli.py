@@ -7,11 +7,12 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from nonproper import Context, parse_poly
 import nonproper.problem
 from nonproper.cli import build_parser, main
 from nonproper.curves import ParametricCurve, substitute_curve
+from nonproper.mpoly import Context
 from nonproper.orders import GREVLEX, LEX
+from nonproper.parser import parse_poly
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "problems"

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonproper import (
-    Context,
-    Ideal,
+from nonproper.curves import (
     ParametricCurve,
-    PreconditionError,
+    _rational_roots,
     ansatz_system,
     certify,
     common_inner,
+    compose_scalar,
     cover_image_real,
     curve_relations,
     decompose,
@@ -22,14 +21,15 @@ from nonproper import (
     is_unbounded,
     no_smaller_curve,
     one_param_action,
-    parse_poly,
     substitute_curve,
     verify_curve,
     verify_curve_pointwise,
 )
-from nonproper.curves import _rational_roots, compose_scalar
-from nonproper.groebner import vanishes_on
+from nonproper.errors import PreconditionError
+from nonproper.groebner import Ideal, vanishes_on
+from nonproper.mpoly import Context
 from nonproper.orders import LEX
+from nonproper.parser import parse_poly
 
 from conftest import mpolys, small_fractions, small_nonzero
 from sampling import images_mutually_close
@@ -620,7 +620,7 @@ class TestCertify:
         assert cert.status == "verified"
         # unboundedness by leading-coefficient inspection: every curve has a
         # coordinate of odd degree or of even degree with positive lead
-        from nonproper import leading_behavior
+        from nonproper.curves import leading_behavior
 
         for c in cert.curves():
             assert is_unbounded(c)

@@ -6,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonproper import (
-    Context,
+from nonproper.groebner import (
     Ideal,
-    MPoly,
+    _lead,
+    _reduce,
+    _spoly_terms,
+    buchberger,
     dimension,
     eliminate,
     is_groebner,
-    parse_poly,
+    reduce_poly,
     vanishes_on,
 )
-from nonproper.groebner import _lead, _reduce, _spoly_terms, buchberger, reduce_poly
+from nonproper.mpoly import Context, MPoly
 from nonproper.orders import GREVLEX, LEX, block_order
+from nonproper.parser import parse_poly
 
 from conftest import mpolys
 
@@ -143,7 +146,7 @@ class TestVanishesOn:
         assert not vanishes_on(parse_poly("y1 - 1", Y12), I)
 
     def test_cube_via_squarefree_oracle(self):
-        from nonproper import squarefree_part
+        from nonproper.mpoly import squarefree_part
 
         cube = parse_poly("(y1 - y2^2)^3", Y12)
         I = Ideal(Y12, [cube])

@@ -9,23 +9,13 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from nonproper import (
-    Context,
-    Ideal,
-    mpoly_gcd,
-    parse_poly,
-    real_roots,
-    resultant,
-    squarefree_full,
-    squarefree_part,
-    vanishes_on,
-)
 from nonproper import mpoly
 from nonproper.curves import ansatz_system
-from nonproper.groebner import buchberger
-from nonproper.mpoly import MPoly
+from nonproper.groebner import Ideal, buchberger, vanishes_on
+from nonproper.mpoly import Context, MPoly, mpoly_gcd, resultant, squarefree_full, squarefree_part
 from nonproper.orders import GREVLEX, LEX
-from nonproper.unipoly import utrim
+from nonproper.parser import parse_poly
+from nonproper.unipoly import real_roots, utrim
 
 from conftest import mpolys, small_fractions
 from hypothesis import given, settings

@@ -1,18 +1,19 @@
 import pytest
 from hypothesis import given
 
-from nonproper import (
+from nonproper.errors import PreconditionError
+from nonproper.mpoly import (
     Context,
-    PreconditionError,
+    det_mpoly,
     exact_div,
     mpoly_gcd,
-    parse_poly,
     resultant,
     squarefree_full,
     squarefree_part,
+    sylvester_matrix,
 )
-from nonproper.mpoly import det_mpoly, sylvester_matrix
 from nonproper.orders import LEX
+from nonproper.parser import parse_poly
 
 from conftest import mpolys, small_fractions
 

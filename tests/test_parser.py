@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given
 
-from nonproper import Context, ParseError, parse_poly
+from nonproper.errors import ParseError
+from nonproper.mpoly import Context
 from nonproper.orders import LEX
+from nonproper.parser import parse_poly
 
 from conftest import mpolys
 

@@ -4,27 +4,26 @@ from pathlib import Path
 
 import pytest
 
-from nonproper import (
-    Context,
-    Ideal,
+from nonproper.corpus import CORPUS
+from nonproper.errors import PreconditionError
+from nonproper.groebner import Ideal, dimension, vanishes_on
+from nonproper.mpoly import Context
+from nonproper.orders import LEX
+from nonproper.parser import parse_poly
+from nonproper.problem import problem_from_dict
+from nonproper.properness import (
     PolyMap,
-    PreconditionError,
+    _coordinate_elimination,
+    _relations,
     coordinate_min_poly,
     coordinate_min_poly_resultant,
-    dimension,
     graph_ideal,
     image_closure,
     is_proper_at,
-    parse_poly,
     sf_components_resultant,
     sf_compute,
     theorem_bound,
-    vanishes_on,
 )
-from nonproper.corpus import CORPUS
-from nonproper.orders import LEX
-from nonproper.problem import problem_from_dict
-from nonproper.properness import _coordinate_elimination, _relations
 
 C2 = Context(("x1", "x2"))
 C3 = Context(("x1", "x2", "x3"))

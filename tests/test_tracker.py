@@ -11,24 +11,23 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nonproper
-from nonproper import (
+from nonproper import tracker
+from nonproper.curves import ParametricCurve
+from nonproper.errors import PreconditionError, VerificationError
+from nonproper.mpoly import Context
+from nonproper.parser import parse_poly
+from nonproper.properness import PolyMap, sf_compute, theorem_bound
+from nonproper.tracker import (
     ConstantCurveError,
-    Context,
-    ParametricCurve,
+    LimitTrace,
     PathSpec,
-    PolyMap,
-    PreconditionError,
-    VerificationError,
+    StepRecord,
     image_curve,
-    parse_poly,
+    norm_objective,
     rationalize_verify,
-    sf_compute,
-    theorem_bound,
     track,
     unit_normalize,
 )
-from nonproper import tracker
-from nonproper.tracker import LimitTrace, StepRecord, norm_objective
 from nonproper.unipoly import uadd, umul, upow
 
 C2 = Context(("x1", "x2"))
@@ -317,7 +316,7 @@ class TestTrack:
 
     def test_limit_passes_through_target(self):
         trace = track(SCALING, (0, 1), quad_path("inv_k2", "k2"))
-        at0 = trace.limit_estimate.eval(0.0)
+        at0 = trace.limit_estimate[0]
         assert abs(at0[0] - 0.0) < 1e-9 and abs(at0[1] - 1.0) < 1e-9
 
     def test_lambda_growth_diagnostic(self):

@@ -3,8 +3,10 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given
 
-from nonproper import PreconditionError, nonneg_on_line, real_roots
+from nonproper.errors import PreconditionError
 from nonproper.unipoly import (
+    nonneg_on_line,
+    real_roots,
     sturm_chain,
     sturm_count,
     udeg,
