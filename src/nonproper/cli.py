@@ -80,7 +80,7 @@ def cmd_sf(args, prob):
             for cd in sf.coordinates
         ],
         "flags": {
-            "generically_finite": sf.generically_finite,
+            "generically_finite": True,  # sf_compute raised otherwise
             "dominant": sf.dominant,
             "hypersurface": sf.hypersurface_ok,
             "empty": sf.is_empty,
@@ -142,7 +142,7 @@ def cmd_certify(args, prob):
         what = "domain"
     cert = certify(
         target_ideal, inequalities, degree, samples, mode=mode,
-        sharpness=sharpness, seed=args.seed,
+        sharpness=sharpness,
     )
     result = {
         "certified": what,
@@ -225,10 +225,13 @@ def cmd_track(args, prob):
 
 
 def _write_csv(fh, trace):
+    """One row per step; each diff sits on the in-regime step it ends at,
+    and steps out of regime have none."""
     fh.write("k,lambda,diff\n")
-    diffs = [""] + [str(d) for d in trace.diffs]
-    for step, d in zip(trace.steps, diffs + [""] * len(trace.steps)):
-        fh.write(f"{step.k},{step.lam},{d}\n")
+    in_regime = [s.k for s in trace.steps if s.in_regime]
+    diff_at = dict(zip(in_regime[1:], trace.diffs))
+    for step in trace.steps:
+        fh.write(f"{step.k},{step.lam},{diff_at.get(step.k, '')}\n")
 
 
 def cmd_decompose(args, prob):
@@ -327,7 +330,7 @@ def _tolerance(text):
 COMMANDS = {
     "sf": (cmd_sf, ("--order",)),
     "bounds": (cmd_bounds, ()),
-    "certify": (cmd_certify, ("--order", "--degree", "--samples", "--seed", "--sharpness")),
+    "certify": (cmd_certify, ("--order", "--degree", "--samples", "--sharpness")),
     "track": (cmd_track, ("--kmax", "--tol", "--csv")),
     "decompose": (cmd_decompose, ()),
     "fixlocus": (cmd_fixlocus, ("--order",)),
@@ -346,8 +349,6 @@ FLAGS = {
                         f"({KMAX_RANGE[0]} to {KMAX_RANGE[1]})"),
     "--tol": dict(type=_tolerance, default=1e-8,
                   help="tracker convergence tolerance (positive, finite)"),
-    "--seed": dict(type=int, default=0,
-                   help="seed for randomized curve-search substitutions"),
     "--sharpness": dict(action="store_true",
                         help="also prove no smaller curve exists at each sample"),
     "--csv": dict(default=None, help="write per-step tracker data as CSV"),

@@ -204,9 +204,7 @@ class AnsatzSystem:
     The zero set of ``ideal`` in the unknown-coefficient context is the
     set of coefficient vectors b with curve(a, b) inside the variety."""
 
-    variety: Ideal
     base: tuple
-    degree: int
     bctx: Context
     equations: tuple
     ideal: Ideal
@@ -264,12 +262,10 @@ def ansatz_system(variety, a, d):
                 seen.add(e)
                 eqs.append(e)
     return AnsatzSystem(
-        variety=variety,
         base=a,
-        degree=d,
         bctx=bctx,
         equations=tuple(eqs),
-        ideal=Ideal(bctx, eqs or [bctx.zero()]),
+        ideal=Ideal(bctx, eqs),
         unknowns=grid,
     )
 
@@ -319,8 +315,6 @@ def verify_curve(variety, inequalities, curve, a=None, d=None, mode="complex"):
     eq_ok = True
     failing = ""
     for g in variety.generators:
-        if g.is_zero():
-            continue
         if not substitute_curve(g, curve).is_zero():
             eq_ok = False
             failing = str(g)
@@ -343,14 +337,10 @@ def verify_curve_pointwise(variety, curve):
     """Independent soundness path: exact evaluation of every generator at
     rational parameter values, enough of them to pin the zero
     polynomial."""
-    degs = [g.total_degree() for g in variety.generators if not g.is_zero()]
-    if not degs:
-        return True
-    npoints = max(degs) * max(curve.effective_degree, 1) + 1
+    degs = [g.total_degree() for g in variety.generators]
+    npoints = max(degs, default=0) * max(curve.effective_degree, 1) + 1
     ts = [Q(k, 7) for k in range(-(npoints // 2), npoints - npoints // 2)]
     for g in variety.generators:
-        if g.is_zero():
-            continue
         for t in ts:
             if g.evaluate(curve.eval(t)) != 0:
                 return False
@@ -410,11 +400,11 @@ _NODE_BUDGET = 4000
 _MAX_SOLUTIONS = 60
 
 
-def _ansatz_solutions(system, seed=0):
+def _ansatz_solutions(system):
     """Enumerate exact rational points on the ansatz ideal by triangular
     back-substitution over a lex basis, trying small rational values on
-    free coefficients (then seeded random ones).  Best-effort by design:
-    silence does not prove emptiness."""
+    free coefficients (then random ones from a fixed-seed generator).
+    Best-effort by design: silence does not prove emptiness."""
     bctx = system.bctx
     basis = buchberger(list(system.ideal.generators), LEX)
     if len(basis) == 1 and basis[0].constant_value() is not None:
@@ -427,7 +417,7 @@ def _ansatz_solutions(system, seed=0):
     for g in basis:
         pos = min(i for mono in g.terms for i, e in enumerate(mono) if e)
         relevant[pos].append(g.coeffs_in(names[pos]))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     budget = [_NODE_BUDGET]
     yielded = [0]
 
@@ -480,7 +470,7 @@ def _ansatz_solutions(system, seed=0):
 
 def _curve_from_solution(system, solution, mode):
     coords = []
-    for i in range(system.variety.ctx.arity):
+    for i in range(len(system.base)):
         cs = [system.base[i]] + [solution[nm] for nm in system.unknowns[i]]
         coords.append(cs)
     return ParametricCurve.from_coordinates(coords, mode)
@@ -497,18 +487,17 @@ def _pattern_candidates(coordinates, a, d):
 
 def _line_coordinates(variety, a):
     """The coordinates i whose line a + s*e_i lies inside the variety."""
-    gens = [g for g in variety.generators if not g.is_zero()]
     out = []
     for i in range(len(a)):
         coords = [[x] for x in a]
         coords[i] = [a[i], Q(1)]
         line = ParametricCurve.from_coordinates(coords)
-        if all(substitute_curve(g, line).is_zero() for g in gens):
+        if all(substitute_curve(g, line).is_zero() for g in variety.generators):
             out.append(i)
     return out
 
 
-def find_curve(variety, a, d, mode="complex", inequalities=(), seed=0):
+def find_curve(variety, a, d, mode="complex", inequalities=()):
     """Best-effort search for a verified nonconstant curve of degree at
     most d through a inside the variety.
 
@@ -532,7 +521,7 @@ def find_curve(variety, a, d, mode="complex", inequalities=(), seed=0):
         if verify_curve(variety, inequalities, curve, a, d, mode).ok:
             return curve
     system = ansatz_system(variety, a, d)
-    for solution in _ansatz_solutions(system, seed=seed):
+    for solution in _ansatz_solutions(system):
         curve = _curve_from_solution(system, solution, mode)
         if curve.is_constant():
             continue
@@ -617,17 +606,9 @@ class UniruledCertificate:
     bounded degree: one verified curve through each requested sample,
     with optional per-point minimality proofs."""
 
-    variety: Ideal
-    inequalities: tuple
-    degree: int
-    mode: str
     entries: tuple  # (sample point, ParametricCurve or None)
     minimality: dict
     status: str
-
-    @property
-    def verified(self):
-        return self.status == "verified"
 
     def curves(self):
         return [c for _, c in self.entries if c is not None]
@@ -637,14 +618,13 @@ class UniruledCertificate:
 _SHARPNESS_SAMPLES = 3
 
 
-def certify(variety, inequalities, d, samples, mode="complex", sharpness=False, seed=0):
+def certify(variety, inequalities, d, samples, mode="complex", sharpness=False):
     """Search and verify a curve of degree <= d through every sample.
 
     Status is "verified" only if every sample received a verified curve;
     "partial" if some did; "failed" otherwise.  With sharpness on, the
     first _SHARPNESS_SAMPLES samples also get a no_smaller_curve proof
     recorded."""
-    inequalities = tuple(inequalities)
     entries = []
     minimality = {}
     for pt in samples:
@@ -652,7 +632,7 @@ def certify(variety, inequalities, d, samples, mode="complex", sharpness=False, 
         if not _check_on_variety(variety, pt, inequalities, mode):
             raise PreconditionError(f"sample {tuple(map(str, pt))} is off the variety")
         # find_curve returns only curves that verify_curve passed
-        entries.append((pt, find_curve(variety, pt, d, mode, inequalities, seed=seed)))
+        entries.append((pt, find_curve(variety, pt, d, mode, inequalities)))
     if sharpness:
         for pt, _ in entries[:_SHARPNESS_SAMPLES]:
             if d >= 2:
@@ -660,10 +640,6 @@ def certify(variety, inequalities, d, samples, mode="complex", sharpness=False, 
     found = sum(1 for _, c in entries if c is not None)
     status = "verified" if found == len(entries) else ("partial" if found else "failed")
     return UniruledCertificate(
-        variety=variety,
-        inequalities=inequalities,
-        degree=d,
-        mode=mode,
         entries=tuple(entries),
         minimality=minimality,
         status=status,
@@ -843,7 +819,7 @@ class OneParamAction:
 
     def __post_init__(self):
         if self.domain is None:
-            object.__setattr__(self, "domain", Ideal(self.ctx, [self.ctx.zero()]))
+            object.__setattr__(self, "domain", Ideal(self.ctx, []))
         if len(self.components) != self.ctx.arity:
             raise PreconditionError("action needs one component per source variable")
         for p in self.components:
@@ -870,16 +846,12 @@ class OneParamAction:
         for name, comp in zip(self.ctx.names, self.components):
             inner[name] = comp.subs(big, {self.g_name: big.var(h_name),
                                           **{n: big.var(n) for n in self.ctx.names}})
-        dom_big = Ideal(big, [p.rebase(big) for p in self.domain.generators]) \
-            if not self.domain.is_zero_ideal() else None
+        dom_big = Ideal(big, [p.rebase(big) for p in self.domain.generators])
         for name, comp in zip(self.ctx.names, self.components):
             lhs = comp.subs(big, {self.g_name: big.var(self.g_name), **inner})
             rhs = comp.subs(big, {self.g_name: big.var(self.g_name) + big.var(h_name),
                                   **{n: big.var(n) for n in self.ctx.names}})
-            diff = lhs - rhs
-            if dom_big is not None:
-                diff = dom_big.normal_form(diff)
-            if not diff.is_zero():
+            if not dom_big.normal_form(lhs - rhs).is_zero():
                 raise PreconditionError(
                     f"not a group action: additivity fails for component {name!r}"
                 )
@@ -901,7 +873,7 @@ def fixed_locus(action):
     """Ideal of the fixed points: the domain ideal plus every positive
     parameter-power coefficient of phi_i(g, x) - x_i."""
     ctx = action.ctx
-    gens = [g for g in action.domain.generators if not g.is_zero()]
+    gens = list(action.domain.generators)
     for name, comp in zip(ctx.names, action.components):
         delta = comp - action.action_ctx.var(name)
         for power, coeff in enumerate(delta.coeffs_in(action.g_name)):
@@ -911,4 +883,4 @@ def fixed_locus(action):
                 continue
             if not coeff.is_zero():
                 gens.append(coeff.rebase(ctx))
-    return Ideal(ctx, gens or [ctx.zero()])
+    return Ideal(ctx, gens)

@@ -242,20 +242,18 @@ def is_groebner(basis, order):
 class Ideal:
     """Ideal of a polynomial context, with cached reduced bases.
 
-    The zero ideal is represented by a single zero generator.
+    ``Ideal(ctx, [])`` is the zero ideal.
     """
 
     __slots__ = ("ctx", "generators", "_bases", "_leads")
 
     def __init__(self, ctx, generators):
-        generators = list(generators)
-        if not generators:
-            raise ValueError("generators must be nonempty; use [ctx.zero()] for the zero ideal")
+        generators = tuple(generators)
         for g in generators:
             if g.ctx.names != ctx.names:
                 raise PreconditionError("generator context mismatch")
         self.ctx = ctx
-        self.generators = tuple(generators)
+        self.generators = generators
         self._bases = {}
         self._leads = {}  # order tag -> lead triples of that basis, built on first normal_form
 
@@ -273,8 +271,8 @@ class Ideal:
             self._leads[tag] = tuple(_lead(b, order) for b in self.groebner(order))
         return _remainder(p, self._leads[tag], order)
 
-    def contains(self, p, order=None):
-        return self.normal_form(p, order).is_zero()
+    def contains(self, p):
+        return self.normal_form(p).is_zero()
 
     def is_zero_ideal(self):
         return not self.groebner()
@@ -321,11 +319,7 @@ def eliminate(I, keep):
         order = block_order(names, elim)
         basis = I.groebner(order)
         members = [g for g in basis if g.support_vars() <= keep]
-    polys = [g.rebase(sub) for g in members]
-    if not polys:
-        return Ideal(sub, [sub.zero()])
-    out = Ideal(sub, buchberger(polys, LEX) or [sub.zero()])
-    return out
+    return Ideal(sub, buchberger([g.rebase(sub) for g in members], LEX))
 
 
 def vanishes_on(p, I):

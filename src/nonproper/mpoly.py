@@ -71,9 +71,6 @@ class Context:
         e[self.index(name)] = 1
         return MPoly(self, {tuple(e): Fraction(1)})
 
-    def gens(self):
-        return [self.var(n) for n in self.names]
-
     def with_order(self, order):
         return Context(self.names, order)
 
@@ -212,8 +209,8 @@ class MPoly:
                     used.add(self.ctx.names[i])
         return used
 
-    def sorted_terms(self, order=None):
-        order = order or self.ctx.order
+    def sorted_terms(self):
+        order = self.ctx.order
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def leading_monomial(self, order=None):
@@ -362,13 +359,13 @@ class MPoly:
 
     # -- printing ----------------------------------------------------------
 
-    def to_str(self, order=None):
+    def to_str(self):
         """Canonical text: terms in descending active order, explicit `*`
         and `^`, rationals as p/q.  Round-trips through parse_poly."""
         if not self.terms:
             return "0"
         parts = []
-        for k, (m, c) in enumerate(self.sorted_terms(order)):
+        for k, (m, c) in enumerate(self.sorted_terms()):
             factors = []
             for name, e in zip(self.ctx.names, m):
                 if e == 1:

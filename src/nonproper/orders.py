@@ -22,11 +22,6 @@ class MonomialOrder:
     def key(self, exps):
         raise NotImplementedError
 
-    def compare(self, a, b):
-        """-1, 0, or 1 as monomial a is below, equal to, or above b."""
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def __repr__(self):
         return f"<order {self.tag}>"
 

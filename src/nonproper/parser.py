@@ -13,7 +13,6 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .mpoly import Context
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/]))")
 
@@ -135,17 +134,10 @@ class _Parser:
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 
 
-def parse_poly(text, vars, order=None):
-    """Parse polynomial text over an ordered list of variable names.
+def parse_poly(text, ctx):
+    """Parse polynomial text over the variables of a Context.
 
-    ``vars`` may be a Context or a sequence of names.  Syntax errors,
-    unknown variables, and negative exponents raise ParseError with the
-    character position.
+    Syntax errors, unknown variables, and negative exponents raise
+    ParseError with the character position.
     """
-    if isinstance(vars, Context):
-        ctx = vars if order is None else vars.with_order(order)
-    elif order is None:
-        ctx = Context(tuple(vars))
-    else:
-        ctx = Context(tuple(vars), order)
     return _Parser(text, ctx).parse()

@@ -208,7 +208,7 @@ class Problem:
     # -- builders ---------------------------------------------------------
 
     def domain_ideal(self):
-        return Ideal(self.ctx, self.domain_equations or [self.ctx.zero()])
+        return Ideal(self.ctx, self.domain_equations)
 
     def polymap(self):
         if not self.map_components:
@@ -220,9 +220,7 @@ class Problem:
             raise PreconditionError("this command needs an 'action' in the problem file")
         act_ctx = Context((self.action_param,) + self.ctx.names, GREVLEX)
         comps = [parse_poly(t, act_ctx) for t in self.action]
-        dom = self.domain_ideal()
-        return one_param_action(self.ctx, self.action_param, comps,
-                                dom if not dom.is_zero_ideal() else None)
+        return one_param_action(self.ctx, self.action_param, comps, self.domain_ideal())
 
     def curve_object(self):
         if not self.curve:
@@ -265,9 +263,9 @@ def _points(data, key):
 
 def _integer(data, key, default, lo, hi=None):
     """The integer under key, in [lo, hi]; default when absent."""
-    value = data.get(key, default)
-    if value is None:
-        return None
+    if key not in data:
+        return default
+    value = data[key]
     if (not isinstance(value, int) or isinstance(value, bool) or value < lo
             or (hi is not None and value > hi)):
         bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"

@@ -62,7 +62,7 @@ class PolyMap:
                 raise PreconditionError("component context mismatch")
         object.__setattr__(self, "components", comps)
         if self.domain is None:
-            object.__setattr__(self, "domain", Ideal(self.ctx, [self.ctx.zero()]))
+            object.__setattr__(self, "domain", Ideal(self.ctx, []))
         elif self.domain.ctx.names != self.ctx.names:
             raise PreconditionError("domain ideal context mismatch")
         if self.mode not in ("complex", "real"):
@@ -100,7 +100,7 @@ def graph_ideal(f: PolyMap) -> Ideal:
     """Ideal of the graph of f in the joined (source, image) context:
     the domain ideal together with component - image_variable."""
     big = f.joined_context()
-    gens = [g.rebase(big) for g in f.domain.generators if not g.is_zero()]
+    gens = [g.rebase(big) for g in f.domain.generators]
     for comp, name in zip(f.components, f.image_names):
         gens.append(comp.rebase(big) - big.var(name))
     return Ideal(big, gens)
@@ -130,7 +130,7 @@ def _image_ideal(f, elim, name):
     context."""
     yctx = f.image_context()
     gens = [g.rebase(yctx) for g in elim.generators if g.degree_in(name) == 0]
-    return Ideal(yctx, gens or [yctx.zero()])
+    return Ideal(yctx, gens)
 
 
 def _relations(elim, name):
@@ -165,7 +165,6 @@ class CoordinateData:
     """Per-coordinate elimination result: the relation, its leading
     coefficient in the coordinate, and its coordinate degree."""
 
-    index: int
     name: str
     min_poly: MPoly
     lead_coeff: MPoly  # in the image context, squarefree, canonical
@@ -177,18 +176,13 @@ class SfResult:
     """The computed non-properness set.
 
     ``components`` are ideals in the image context; their union is the
-    set.  ``empty_components`` names source coordinates whose candidate
-    component turned out to cut the empty set.  ``hypersurface_ok``
-    records whether every nonempty component has codimension one in the
-    image closure.
+    set.  ``hypersurface_ok`` records whether every nonempty component
+    has codimension one in the image closure.
     """
 
-    map: PolyMap
     image_ideal: Ideal
     coordinates: tuple
     components: tuple
-    empty_components: tuple
-    generically_finite: bool
     dominant: bool
     hypersurface_ok: bool
     real_superset_warning: bool
@@ -202,31 +196,28 @@ class SfResult:
 
 
 def _assemble_components(J, leads):
-    """Components of the non-properness set from the image ideal J and
-    (coordinate name, squarefree canonical leading coefficient) pairs.
+    """Components of the non-properness set from the image ideal J and the
+    squarefree canonical leading coefficients of the coordinates.
 
-    A constant coefficient or one vanishing on the whole image yields no
-    component; a coefficient that cuts the empty set from the image is
-    reported by coordinate name.  Returns (components, empty names) with
-    duplicate components dropped."""
+    A constant coefficient, one vanishing on the whole image, or one that
+    cuts the empty set from the image yields no component.  Returns the
+    components with duplicates dropped."""
     components = []
-    empty = []
     seen = set()
-    base = [g for g in J.canonical_generators() if not g.is_zero()]
-    for name, a in leads:
+    base = J.groebner()
+    for a in leads:
         if a.constant_value() is not None:
             continue  # coordinate stays finite over the image
         if not J.is_zero_ideal() and vanishes_on(a, J):
             continue  # degenerate: coefficient vanishes on the whole image
         comp = Ideal(J.ctx, base + [a])
         if comp.is_unit():
-            empty.append(name)
-            continue
+            continue  # the coefficient cuts the empty set from the image
         key = tuple(str(g) for g in comp.canonical_generators())
         if key not in seen:
             seen.add(key)
             components.append(comp)
-    return components, empty
+    return components
 
 
 def sf_compute(f: PolyMap) -> SfResult:
@@ -245,21 +236,18 @@ def sf_compute(f: PolyMap) -> SfResult:
     elims = [_coordinate_elimination(f, j) for j in range(f.n)]
     J = _image_ideal(f, elims[0], f.ctx.names[0])
     coords = []
-    for j, (name, elim) in enumerate(zip(f.ctx.names, elims)):
+    for name, elim in zip(f.ctx.names, elims):
         phi = _min_poly(elim, name)
         nj = phi.degree_in(name)
         lead = squarefree_full(phi.coeffs_in(name)[nj].rebase(yctx)).canonical()
-        coords.append(CoordinateData(j, name, phi, lead, nj))
-    components, empty = _assemble_components(J, [(cd.name, cd.lead_coeff) for cd in coords])
+        coords.append(CoordinateData(name, phi, lead, nj))
+    components = _assemble_components(J, [cd.lead_coeff for cd in coords])
     dim_image = dimension(J)
     hypersurface_ok = all(dimension(c) == dim_image - 1 for c in components)
     return SfResult(
-        map=f,
         image_ideal=J,
         coordinates=tuple(coords),
         components=tuple(components),
-        empty_components=tuple(empty),
-        generically_finite=True,
         dominant=J.is_zero_ideal(),
         hypersurface_ok=hypersurface_ok,
         real_superset_warning=(f.mode == "real" and bool(components)),
@@ -347,7 +335,7 @@ def coordinate_min_poly_resultant(f: PolyMap, j) -> MPoly:
     resultants eliminating the other source variables.  May carry
     extraneous factors; used as an independent oracle."""
     big = f.joined_context()
-    polys = [g.rebase(big) for g in graph_ideal(f).generators if not g.is_zero()]
+    polys = [g.rebase(big) for g in graph_ideal(f).generators]
     keep_name = f.ctx.names[j]
     for name in f.ctx.names:
         if name != keep_name:
@@ -374,5 +362,5 @@ def sf_components_resultant(f: PolyMap):
     for j, name in enumerate(f.ctx.names):
         phi = coordinate_min_poly_resultant(f, j)
         lead = phi.coeffs_in(name)[phi.degree_in(name)].rebase(yctx)
-        leads.append((name, squarefree_full(lead).canonical()))
-    return _assemble_components(J, leads)[0]
+        leads.append(squarefree_full(lead).canonical())
+    return _assemble_components(J, leads)

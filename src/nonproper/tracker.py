@@ -236,10 +236,6 @@ class LimitTrace:
     limit_estimate: tuple  # rows of complex, t-powers, translated back by the target
     lambdas: tuple
 
-    @property
-    def converged(self):
-        return self.status == "converged"
-
     def lambda_growth(self):
         """Consecutive ratios of the normalization factors; a diagnostic
         for whether the reparametrization scale stays finite (ratios

@@ -172,6 +172,18 @@ class TestExitTaxonomy:
         assert code == 2 and report is None
         assert "parse error" in err and "d1" in err
 
+    @pytest.mark.parametrize("key", ["kmax", "degree", "d1"])
+    def test_null_integer_is_2(self, capsys, tmp_path, key):
+        # an explicit null is not an absent key: it is a malformed integer
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x1", "x2"], "map": ["x1", "x1*x2"],
+            "targets": [["0", "2"]], "paths": [{"kind": "radial", "point": ["4/k^2", "k^2/2"]}],
+            key: None,
+        })
+        code, report, err = run_cli(capsys, "track", path, "--quiet")
+        assert code == 2 and report is None
+        assert f"parse error: {key!r} must be an integer" in err
+
     def test_non_boolean_sharpness_is_2(self, capsys, tmp_path):
         path = write_problem(tmp_path, {
             "format": 1, "vars": ["x", "y"], "map": ["x", "x*y"], "sharpness": "false",
@@ -338,7 +350,7 @@ class TestExitTaxonomy:
 COMMAND_FLAGS = {
     "sf": {"--order", "--quiet"},
     "bounds": {"--quiet"},
-    "certify": {"--order", "--degree", "--samples", "--seed", "--sharpness", "--quiet"},
+    "certify": {"--order", "--degree", "--samples", "--sharpness", "--quiet"},
     "track": {"--kmax", "--tol", "--csv", "--quiet"},
     "decompose": {"--quiet"},
     "fixlocus": {"--order", "--quiet"},
@@ -353,12 +365,12 @@ class TestFlags:
         got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                for name, p in sub.choices.items()}
         assert got == COMMAND_FLAGS
-        assert sum(map(len, got.values())) == 18
+        assert sum(map(len, got.values())) == 17
 
     @pytest.mark.parametrize("argv", [
         ["sf", "--tol", "1e-3"], ["bounds", "--order", "lex"], ["certify", "--csv", "x.csv"],
         ["track", "--sharpness"], ["decompose", "--degree", "2"], ["fixlocus", "--seed", "1"],
-        ["examples", "--kmax", "5"],
+        ["examples", "--kmax", "5"], ["certify", "--seed", "1"],
     ])
     def test_a_flag_the_command_does_not_read_is_2(self, capsys, argv):
         cmd, *flag = argv
@@ -487,6 +499,23 @@ class TestCommands:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "k,lambda,diff"
         assert len(lines) > 10
+
+    def test_track_csv_puts_each_diff_on_the_step_it_ends_at(self, capsys, tmp_path):
+        # k = 2 is out of regime, so the first diff compares k = 8 with k = 4
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x1", "x2"], "map": ["x1", "x1*x2"],
+            "targets": [["0", "2"]], "paths": [{"kind": "radial", "point": ["4/k^2", "k^2/2"]}],
+            "kmax": 20,
+        })
+        csv_path = tmp_path / "trace.csv"
+        code, report, _ = run_cli(capsys, "track", path, "--quiet", "--csv", str(csv_path))
+        assert code == 0
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows[:3]] == ["2", "4", "8"]
+        assert rows[0][1] == "nan" and rows[0][2] == "" and rows[1][2] == ""
+        assert float(rows[2][2]) == 0.1875
+        diffs = [float(r[2]) for r in rows if r[2]]
+        assert diffs == report["result"]["runs"][0]["diffs"]
 
     def test_decompose(self, capsys, tmp_path):
         path = write_problem(tmp_path, {

@@ -21,6 +21,7 @@ from nonproper.groebner import (
 from nonproper.mpoly import Context, MPoly
 from nonproper.orders import GREVLEX, LEX, block_order
 from nonproper.parser import parse_poly
+from nonproper.problem import render_ideal
 
 from conftest import mpolys
 
@@ -181,6 +182,16 @@ class TestDimension:
 
     def test_point(self):
         assert dimension(ideal(Y12, "y1", "y2")) == 0
+
+
+def test_no_generators_is_the_zero_ideal():
+    Z = Ideal(Y12, [])
+    assert Z.is_zero_ideal()
+    assert Z.groebner() == []
+    assert render_ideal(Z) == ["0"]
+    assert dimension(Z) == Y12.arity
+    p = parse_poly("y1^2 - 3*y2 + 1/2", Y12)
+    assert Z.normal_form(p) == p
 
 
 # -- the rational kernel the integer one replaced, kept as an oracle ----------
