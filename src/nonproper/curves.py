@@ -26,9 +26,8 @@ from .mpoly import Context, MPoly, resultant
 from .orders import GREVLEX, LEX
 from .unipoly import (
     Q,
+    count_real_roots,
     nonneg_on_line,
-    real_roots,
-    ucontent_primitive,
     udeg,
     uderiv,
     udivmod,
@@ -355,17 +354,15 @@ def _rational_roots(cs):
     cs = utrim(list(cs))
     if udeg(cs) <= 0:
         return []
-    roots = []
-    shift = 0
+    roots = [Q(0)] if cs[0] == 0 else []
     while cs[0] == 0:
         cs = cs[1:]
-        shift += 1
-    if shift:
-        roots.append(Q(0))
     if udeg(cs) == 0:
         return roots
-    _, prim = ucontent_primitive(cs)
-    ints = [c.numerator for c in prim]
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
     a0, an = abs(ints[0]), abs(ints[-1])
 
     def divisors(v):
@@ -755,7 +752,7 @@ def _min_of_even_poly(g):
     cands = _rational_roots(utrim([Q(c) for c in rcoeffs]))
     for c in sorted(cands):
         shifted = usub(g, [c])
-        if nonneg_on_line(shifted) and real_roots(shifted):
+        if nonneg_on_line(shifted) and count_real_roots(shifted):
             return c
     raise PreconditionError(
         "the minimum of the inner polynomial is irrational; the degree-2 "

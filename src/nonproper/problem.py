@@ -296,6 +296,15 @@ def _paths(data):
     return tuple(value)
 
 
+def _check_lengths(key, points, n, per):
+    """Each point under key has n coordinates, one per variable or map
+    component."""
+    for p in points:
+        if len(p) != n:
+            raise ParseError(f"{key!r} point {p!r} has {len(p)} coordinates; "
+                             f"expected {n}, one per {per}")
+
+
 def _action_param(data, vars_):
     name = data.get("action_param", "g")
     if not isinstance(name, str) or not _NAME.fullmatch(name):
@@ -332,6 +341,12 @@ def problem_from_dict(data, raw=b""):
     degree, d1 = _integer(data, "degree", None, 1), _integer(data, "d1", None, 0)
     samples = _points(data, "samples")
     sharpness, kmax = _boolean(data, "sharpness"), _integer(data, "kmax", 20, *KMAX_RANGE)
+    if comps:
+        _check_lengths("targets", targets, len(comps), "map component")
+        _check_lengths("samples", samples, len(comps), "map component")
+    else:
+        _check_lengths("samples", samples, len(vars_), "variable")
+    _check_lengths("paths", [p["point"] for p in paths], len(vars_), "variable")
     ctx = Context(tuple(vars_), GREVLEX)
     return Problem(
         ctx=ctx,

@@ -144,6 +144,8 @@ def _min_poly(elim, name):
     elimination basis."""
     candidates = _relations(elim, name)
     if not candidates:
+        if elim.is_unit():
+            raise PreconditionError("the domain is empty: its equations have no common zero")
         raise PreconditionError(
             f"map is not generically finite: coordinate {name!r} is not "
             "algebraic over the image"

@@ -3,20 +3,13 @@
 A polynomial in t is a plain list of coefficients in ascending powers,
 trimmed so that the last entry is nonzero ([] is the zero polynomial).
 This module provides the arithmetic on such lists and the exact
-real-root machinery: Yun squarefree decomposition, Sturm chains,
-isolating intervals with multiplicities, and a global nonnegativity
-test.  Vector-valued polynomials in t are ``curves.ParametricCurve``.
-
-Interval conventions: Sturm counts are taken on half-open intervals
-(a, b]; reported isolating intervals are closed, pairwise disjoint, have
-width at most 1, and carry no root at either endpoint unless the root is
-rational, in which case the interval is the degenerate [r, r].
+real-root tools: Yun squarefree decomposition, Sturm chains and counts
+of distinct real roots, and a global nonnegativity test.  Vector-valued
+polynomials in t are ``curves.ParametricCurve``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -133,23 +126,6 @@ def ugcd(a, b):
     return umonic(a)
 
 
-def ucontent_primitive(a):
-    """(content, primitive) with integer-primitive positive-leading
-    primitive part."""
-    if not a:
-        return Q(0), []
-    den = 1
-    for c in a:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    num = 0
-    for c in a:
-        num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
-    s = Q(num, den)
-    if a[-1] < 0:
-        s = -s
-    return s, [c / s for c in a]
-
-
 def yun_squarefree(a):
     """Yun's algorithm: list of (monic squarefree factor, multiplicity)
     with pairwise-coprime factors whose weighted product is monic(a)."""
@@ -206,107 +182,14 @@ def sturm_count(chain, lo, hi):
     return va - vb
 
 
-def _isolate_squarefree(a):
-    """Disjoint half-open (lo, hi] intervals, one distinct root each,
-    width <= 1, by deterministic bisection from the Cauchy bound."""
-    chain = sturm_chain(a)
-    B = cauchy_bound(a)
-    out = []
-    stack = [(-B, B)]
-    while stack:
-        lo, hi = stack.pop()
-        k = sturm_count(chain, lo, hi)
-        if k == 0:
-            continue
-        if k == 1 and hi - lo <= 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        stack.append((mid, hi))
-        stack.append((lo, mid))
-    out.sort()
-    return out
-
-
-def _tidy_interval(f, chain, lo, hi, avoid_poly):
-    """Turn a half-open isolating interval of f into a closed one whose
-    endpoints are not roots of avoid_poly (rational roots collapse to a
-    degenerate interval)."""
-    if ueval(f, hi) == 0:
-        return hi, hi
-    for _ in range(4000):
-        if ueval(avoid_poly, lo) != 0 and ueval(avoid_poly, hi) != 0:
-            return lo, hi
-        mid = (lo + hi) / 2
-        if ueval(f, mid) == 0:
-            return mid, mid
-        if sturm_count(chain, mid, hi) == 1:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("interval tidying did not terminate")
-
-
-@dataclass(frozen=True)
-class IsolatingInterval:
-    """Closed rational interval containing exactly one distinct real root
-    of the queried polynomial, with its multiplicity."""
-
-    lower: Fraction
-    upper: Fraction
-    multiplicity: int
-
-    def contains(self, x):
-        return self.lower <= x <= self.upper
-
-
-def _shrink(f, chain, interval):
-    lo, hi = interval.lower, interval.upper
-    if lo == hi:
-        raise RuntimeError("cannot shrink a degenerate interval")
-    mid = (lo + hi) / 2
-    if ueval(f, mid) == 0:
-        return IsolatingInterval(mid, mid, interval.multiplicity)
-    if sturm_count(chain, mid, hi) == 1:
-        lo = mid
-    else:
-        hi = mid
-    return IsolatingInterval(lo, hi, interval.multiplicity)
-
-
-def real_roots(a):
-    """Isolating intervals with multiplicities for all distinct real
-    roots of a nonzero rational coefficient list, sorted increasingly."""
+def count_real_roots(a):
+    """Number of distinct real roots of a nonzero rational coefficient
+    list: one Sturm count over (-B, B], B the Cauchy bound."""
     a = utrim([Q(c) for c in a])
     if not a:
         raise PreconditionError("real roots of the zero polynomial")
-    if udeg(a) == 0:
-        return []
-    sf_whole = udiv(umonic(a), ugcd(umonic(a), uderiv(umonic(a)))) if udeg(a) > 0 else a
-    found = []  # (interval, factor, chain)
-    for f, mult in yun_squarefree(a):
-        chain = sturm_chain(f)
-        for lo, hi in _isolate_squarefree(f):
-            lo, hi = _tidy_interval(f, chain, lo, hi, sf_whole)
-            found.append([IsolatingInterval(lo, hi, mult), f, chain])
-    found.sort(key=lambda rec: (rec[0].lower, rec[0].upper))
-    # factors are pairwise coprime, so roots are distinct; separate any
-    # touching closed intervals by shrinking the wider one
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("interval separation did not terminate")
-        for r1, r2 in zip(found, found[1:]):
-            if r1[0].upper >= r2[0].lower:
-                wide = r1 if (r1[0].upper - r1[0].lower) >= (r2[0].upper - r2[0].lower) else r2
-                wide[0] = _shrink(wide[1], wide[2], wide[0])
-                found.sort(key=lambda rec: (rec[0].lower, rec[0].upper))
-                changed = True
-                break
-    return [rec[0] for rec in found]
+    B = cauchy_bound(a)
+    return sturm_count(sturm_chain(a), -B, B)
 
 
 def nonneg_on_line(a):
@@ -320,6 +203,6 @@ def nonneg_on_line(a):
     if udeg(a) % 2 == 1 or a[-1] < 0:
         return False
     for f, mult in yun_squarefree(a):
-        if mult % 2 == 1 and _isolate_squarefree(f):
+        if mult % 2 == 1 and count_real_roots(f):
             return False
     return True

@@ -222,6 +222,30 @@ class TestExitTaxonomy:
         code, *_ = run_cli(capsys, "sf", path, "--quiet")
         assert code == 3
 
+    def test_empty_domain_is_3_and_named(self, capsys, tmp_path):
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "domain_equations": ["1"], "map": ["x", "y"],
+        })
+        code, report, err = run_cli(capsys, "sf", path, "--quiet")
+        assert code == 3 and report is None
+        assert "the domain is empty" in err and "generically finite" not in err
+
+    @pytest.mark.parametrize("cmd, body, key", [
+        ("track", {"map": ["x", "x*y"], "targets": [["0", "1"]],
+                   "paths": [{"point": ["1/k^2"]}]}, "paths"),
+        ("track", {"map": ["x", "x*y"], "targets": [["0"]],
+                   "paths": [{"point": ["1/k^2", "k"]}]}, "targets"),
+        ("certify", {"map": ["x", "x*y"], "degree": 1, "samples": [["0", "0", "0"]]},
+         "samples"),
+        ("certify", {"domain_equations": ["y - x^2"], "degree": 2, "samples": [["0"]]},
+         "samples"),
+    ])
+    def test_point_of_the_wrong_length_is_2(self, capsys, tmp_path, cmd, body, key):
+        path = write_problem(tmp_path, {"format": 1, "vars": ["x", "y"], **body})
+        code, report, err = run_cli(capsys, cmd, path, "--quiet")
+        assert code == 2 and report is None
+        assert "parse error" in err and repr(key) in err and "coordinates" in err
+
     def test_track_bad_path_is_3(self, capsys):
         code, *_ = run_cli(capsys, "track", str(PROBLEMS / "identity_control.json"), "--quiet")
         assert code == 3

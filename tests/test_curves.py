@@ -484,6 +484,12 @@ class TestCoverImageReal:
             if not gen.is_zero():
                 assert substitute_curve(gen, eta).is_zero()
 
+    def test_unattained_critical_value_rejected(self):
+        # g = t^4 + 2t^2 has critical values -1 (at t = +-i) and 0; g + 1 =
+        # (t^2 + 1)^2 is nonnegative but has no real root, so -1 is no minimum
+        eta = cover_image_real(curve([0, 0, 2, 0, 1], mode="real"))
+        assert eta.coordinates() == [[Q(0), Q(0), Q(1)]]
+
     def test_degree_contract(self):
         for coords in ([[0, 0, 1]], [[0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1]],
                        [[0, 0, 0, 0, 1], [0] * 8 + [1]]):

@@ -15,7 +15,7 @@ from nonproper.groebner import Ideal, buchberger, vanishes_on
 from nonproper.mpoly import Context, MPoly, mpoly_gcd, resultant, squarefree_full, squarefree_part
 from nonproper.orders import GREVLEX, LEX
 from nonproper.parser import parse_poly
-from nonproper.unipoly import real_roots, utrim
+from nonproper.unipoly import count_real_roots, nonneg_on_line, umul, utrim
 
 from conftest import mpolys, small_fractions
 from hypothesis import given, settings
@@ -253,24 +253,45 @@ def test_squarefree_matches_reference_three_variables():
             assert sp.simplify(to_sympy(mine, XS) / ref).is_constant(), (u, w, mine, ref)
 
 
-def test_real_root_isolation_matches_reference():
-    rng = random.Random(13)
+def random_unipoly(rng):
+    """A trimmed rational coefficient list of degree at most 6 (possibly
+    the zero polynomial [])."""
+    return utrim([Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(2, 7))])
+
+
+def reference_root_multiplicities(cs):
+    """The multiplicity of each distinct real root, from sympy's own
+    isolating intervals."""
     t = sp.Symbol("t")
+    expr = sum(sp.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(cs))
+    return [m for _, m in sp.Poly(expr, t).intervals()]
+
+
+def test_real_root_count_matches_reference():
+    rng = random.Random(13)
     for _ in range(30):
-        cs = [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(2, 7))]
-        cs = utrim(cs)
+        cs = random_unipoly(rng)
         if not cs:
             continue
-        mine = real_roots(cs)
-        expr = sum(sp.Rational(c.numerator, c.denominator) * t ** i
-                   for i, c in enumerate(cs))
-        ref = sp.Poly(expr, t).real_roots(multiple=False)
-        assert len(mine) == len(ref)
-        for interval, (root, mult) in zip(mine, ref):
-            assert interval.multiplicity == mult
-            lo = sp.Rational(interval.lower.numerator, interval.lower.denominator)
-            hi = sp.Rational(interval.upper.numerator, interval.upper.denominator)
-            assert bool(lo <= root) and bool(root <= hi)
+        assert count_real_roots(cs) == len(reference_root_multiplicities(cs)), cs
+
+
+def test_nonneg_on_line_matches_reference():
+    """Each draw and its square: a polynomial is >= 0 on the line iff its
+    leading coefficient is positive and every real root has even
+    multiplicity."""
+    rng = random.Random(13)
+    cases = []
+    for _ in range(30):
+        cs = random_unipoly(rng)
+        if cs:
+            cases += [cs, umul(cs, cs)]
+    nonneg = 0
+    for cs in cases:
+        ref = cs[-1] > 0 and all(m % 2 == 0 for m in reference_root_multiplicities(cs))
+        assert nonneg_on_line(cs) == ref, cs
+        nonneg += ref
+    assert len(cases) == 60 and nonneg == 32
 
 
 def test_squarefree_with_a_nontrivial_gcd_in_three_variables():
