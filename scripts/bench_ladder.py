@@ -49,13 +49,14 @@ CASE_RUNS = 5
 CAP_S = 60
 
 
-def _sf_case(components):
-    """(name, setup code, timed expression) of sf_compute on a map in x, y."""
+def _sf_case(components, names=("x", "y")):
+    """(name, setup code, timed expression) of sf_compute on a map in the
+    named variables."""
     return (f"sf ({', '.join(components)})",
             "from nonproper.mpoly import Context\n"
             "from nonproper.parser import parse_poly\n"
             "from nonproper.properness import PolyMap, sf_compute\n"
-            "C = Context(('x', 'y'))\n"
+            f"C = Context({tuple(names)!r})\n"
             f"f = PolyMap(C, [parse_poly(t, C) for t in {components!r}])",
             "sf_compute(f)")
 
@@ -103,6 +104,8 @@ CASES = (
      "squarefree_part(p, 'z')"),
     _sf_case(["x^3*y^2 + x - y", "x^2*y + 2*y^2 + x"]),
     _sf_case(["x^4*y^3 + x - y", "x^3*y^2 + 2*y^2 + x"]),
+    _sf_case(["x^5*y^2 + x - y", "x^2*y^3 + 2*y^2 + x"]),
+    _sf_case(["x^2*y*z + x - y", "y^2*z + x*z + y", "z^2*x + y - 1"], ("x", "y", "z")),
     *(_twist_certify_case(d) for d in (3, 4, 5)),
     *(_twist_track_case(d) for d in (4, 8, 12)),
 )

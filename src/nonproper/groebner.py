@@ -22,9 +22,15 @@ remainder.
 Normal pair selection: pending pairs wait in a heap keyed by lcm degree,
 ties broken by the active order on lcms, and each key is computed once,
 when its pair is created.  Popped pairs are pruned by the two textbook
-criteria (coprime leading monomials; chain criterion).  Reduction takes
-the next term from a heap on which each monomial's order key (a flat int
-tuple, negated) is computed once, when the monomial enters.
+criteria: coprime leading monomials, and the chain criterion, which skips
+(i, j) when the leading monomial of some k divides their lcm and the
+pairs (i, k) and (j, k) are both done.  Every pair of existing elements
+is queued when the later one is appended, so a pair that is not pending
+has been popped; the record the criterion reads is therefore, per
+element i, the set of k whose pair with i has been popped, and the
+candidates for k are the intersection of two such sets.  Reduction takes
+the next term from a heap keyed by the order's negated key
+(``neg_key``, a flat int tuple), built once, when the monomial enters.
 
 Ideals are immutable; the reduced basis per order tag is cached
 write-once, and so are the lead triples ``normal_form`` reduces against,
@@ -39,7 +45,7 @@ import heapq
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, le, sub
 
 from .errors import PreconditionError
 from .mpoly import Context, MPoly
@@ -50,22 +56,12 @@ def _lcm(m1, m2):
     return tuple(map(max, m1, m2))
 
 
-def _divides(m1, m2):
-    return all(map(le, m1, m2))
-
-
 def _mono_mul(m1, m2):
     return tuple(map(add, m1, m2))
 
 
 def _mono_sub(m1, m2):
     return tuple(map(sub, m1, m2))
-
-
-def _neg(key):
-    """Negate a flat order key, so that heapq's min-heap pops the largest
-    monomial first."""
-    return tuple(map(neg, key))
 
 
 def _clear_denominators(p):
@@ -96,39 +92,42 @@ def _reduce(terms, lead, order):
     remainder of scale*terms, an int term dict, and the positive int
     scale.  The remainder's terms come in descending order, so its first
     key is its leading monomial."""
-    key = order.key
+    neg_key = order.neg_key
+    push, pop = heapq.heappush, heapq.heappop
     rest = dict(terms)  # every monomial on the heap; cancelled ones hold 0
-    heap = [(_neg(key(m)), m) for m in rest]
+    get = rest.get
+    heap = [(neg_key(m), m) for m in rest]
     heapq.heapify(heap)
     remainder = {}
     scale = 1
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = pop(heap)[1]
         c = rest.pop(m)
         if not c:
             continue
         for lm, lc, b in lead:
-            if _divides(lm, m):
+            if all(map(le, lm, m)):
                 break
         else:
             remainder[m] = c
             continue
-        shift = _mono_sub(m, lm)
+        shift = tuple(map(sub, m, lm))
         g = gcd(c, lc)
         a = lc // g
         if a != 1:
             rest = {k: v * a for k, v in rest.items()}
+            get = rest.get
             remainder = {k: v * a for k, v in remainder.items()}
             scale *= a
         q = c // g
         for bm, bc in b.items():
             if bm == lm:
                 continue
-            mm = _mono_mul(shift, bm)
-            old = rest.get(mm)
+            mm = tuple(map(add, shift, bm))
+            old = get(mm)
             if old is None:
                 rest[mm] = -q * bc
-                heapq.heappush(heap, (_neg(key(mm)), mm))
+                push(heap, (neg_key(mm), mm))
             else:
                 rest[mm] = old - q * bc
     return remainder, scale
@@ -182,42 +181,38 @@ def buchberger(gens, order):
     ctx = gens[0].ctx
     G = [_lead(g, order) for g in gens]
     key = order.key
-    pairs = set()  # pending pairs, the record the chain criterion reads
+    done = [set() for _ in G]  # done[i]: every k whose pair (i, k) has been popped
     queue = []  # heap of (lcm degree, order key of lcm, i, j, lcm)
 
     def add_pairs(new):
         lmn = G[new][0]
         for t in range(new):
             L = _lcm(G[t][0], lmn)
-            pairs.add((t, new))
             heapq.heappush(queue, (sum(L), key(L), t, new, L))
 
     for new in range(1, len(G)):
         add_pairs(new)
     while queue:
         _, _, i, j, L = heapq.heappop(queue)
-        pairs.discard((i, j))
+        done[i].add(j)
+        done[j].add(i)
         if L == _mono_mul(G[i][0], G[j][0]):
             continue  # coprime leading monomials
         # chain criterion: some lm[k] divides L, and (i, k), (j, k) are done
-        if any(
-            k != i and k != j
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            and _divides(lmk, L)
-            for k, (lmk, _, _) in enumerate(G)
-        ):
+        if any(all(map(le, G[k][0], L)) for k in done[i] & done[j]):
             continue
         r = _reduce(_spoly_terms(G[i], G[j]), G, order)[0]
         if r:
             G.append(_primitive(next(iter(r)), r))
+            done.append(set())
             add_pairs(len(G) - 1)
 
     # minimalize
-    keep = []
+    keep, kept = [], set()
     for i in range(len(G)):
-        if not any(j != i and _divides(G[j][0], G[i][0]) and (j in keep or j > i) for j in range(len(G))):
+        if not any(j != i and all(map(le, G[j][0], G[i][0])) and (j in kept or j > i) for j in range(len(G))):
             keep.append(i)
+            kept.add(i)
     minimal = [G[i] for i in keep]
     # interreduce fully; each leading term survives, so canonicalizing
     # once (content, sign) gives the canonical form of each element

@@ -3,12 +3,14 @@ two-block elimination orders.
 
 An order exposes ``key(exponents)``: a flat tuple of ints that compares
 larger for larger monomials, so negating it entry by entry reverses the
-order (the Groebner kernel's heaps rely on that).  ``tag`` is a stable
-string used for basis caching.
+order.  ``neg_key(exponents)`` builds that negated key directly, without
+the intermediate tuple; the Groebner kernel's min-heaps pop the largest
+monomial first by it.  ``tag`` is a stable string used for basis caching.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter, neg
 
 
 def _grevlex_key(exps):
@@ -16,10 +18,24 @@ def _grevlex_key(exps):
     return (sum(exps), *[-e for e in reversed(exps)])
 
 
+def _picker(positions):
+    """A callable returning the tuple of the entries at the positions
+    (``itemgetter`` alone returns a bare entry for one position, and
+    takes no empty list)."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda exps: (exps[i],)
+    return itemgetter(*positions) if positions else lambda exps: ()
+
+
 class MonomialOrder:
     tag = "abstract"
 
     def key(self, exps):
+        raise NotImplementedError
+
+    def neg_key(self, exps):
+        """``key(exps)`` negated entry by entry."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -33,6 +49,9 @@ class GrevLex(MonomialOrder):
     def key(self, exps):
         return _grevlex_key(exps)
 
+    def neg_key(self, exps):
+        return (-sum(exps), *exps[::-1])
+
 
 @dataclass(frozen=True, repr=False)
 class Lex(MonomialOrder):
@@ -40,6 +59,9 @@ class Lex(MonomialOrder):
 
     def key(self, exps):
         return tuple(exps)
+
+    def neg_key(self, exps):
+        return tuple(map(neg, exps))
 
 
 @dataclass(frozen=True, repr=False)
@@ -70,6 +92,17 @@ class BlockElim(MonomialOrder):
         first, second = self._blocks
         f = [-exps[i] for i in first]
         s = [-exps[i] for i in second]
+        return (-sum(f), *f, -sum(s), *s)
+
+    @cached_property
+    def _pickers(self):
+        """Per block, a callable taking the tuple of its exponents, last
+        variable first."""
+        return tuple(map(_picker, self._blocks))
+
+    def neg_key(self, exps):
+        pf, ps = self._pickers
+        f, s = pf(exps), ps(exps)
         return (-sum(f), *f, -sum(s), *s)
 
 

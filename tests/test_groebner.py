@@ -1,4 +1,5 @@
 import heapq
+import sys
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonproper import groebner
 from nonproper.groebner import (
     Ideal,
     _lead,
@@ -19,7 +21,7 @@ from nonproper.groebner import (
     vanishes_on,
 )
 from nonproper.mpoly import Context, MPoly
-from nonproper.orders import GREVLEX, LEX, block_order
+from nonproper.orders import GREVLEX, LEX, BlockElim, block_order
 from nonproper.parser import parse_poly
 from nonproper.problem import render_ideal
 
@@ -408,6 +410,44 @@ class TestIntegerKernelOracle:
         na, nb = nested_key(order, a), nested_key(order, b)
         assert all(type(k) is int for k in fa)
         assert (fa < fb, fa == fb) == (na < nb, na == nb)
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    def test_neg_key_negates_the_key(self, kind, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        if kind == "block":
+            # any mask: a block may hold one variable, or none
+            order = BlockElim(tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        else:
+            order = LEX if kind == "lex" else GREVLEX
+        e = data.draw(st.tuples(*[st.integers(min_value=0, max_value=4)] * n))
+        assert order.neg_key(e) == tuple(-k for k in order.key(e))
+
+    @pytest.mark.parametrize("kind", ORDER_KINDS)
+    @given(data=st.data())
+    def test_buchberger_reduces_the_same_pairs_as_fraction_kernel(self, kind, data):
+        # the reduced basis is the same whatever the criteria prune, so
+        # compare the reductions themselves: the same count, and the same
+        # leading monomial (None for zero) of each remainder, in order
+        order, _, gens = data.draw(kernel_cases(kind, max_gens=4))
+        seen = {"int": [], "fraction": []}
+
+        def recording(reduce, log, remainder):
+            def wrapped(*args):
+                out = reduce(*args)
+                r = remainder(out)
+                log.append(next(iter(r)) if r else None)
+                return out
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groebner, "_reduce", recording(groebner._reduce, seen["int"], lambda o: o[0]))
+            mp.setattr(sys.modules[__name__], "_fraction_reduce",
+                       recording(_fraction_reduce, seen["fraction"], lambda o: o))
+            buchberger(gens, order)
+            fraction_buchberger(gens, order)
+        assert len(seen["int"]) == len(seen["fraction"])
+        assert seen["int"] == seen["fraction"]
 
     @given(data=st.data())
     def test_kernel_stays_in_integers(self, data):
