@@ -31,6 +31,7 @@ from .unipoly import (
     udeg,
     uderiv,
     udivmod,
+    ueval,
     umonic,
     umul,
     upow,
@@ -451,7 +452,7 @@ def _ansatz_solutions(system):
             return
         if constraints:
             values = [r for r in _rational_roots(constraints[0])
-                      if all(sum(c * r ** i for i, c in enumerate(k)) == 0 for k in constraints[1:])]
+                      if all(ueval(k, r) == 0 for k in constraints[1:])]
         else:
             values = candidates()
         for v in values:

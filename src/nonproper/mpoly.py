@@ -211,13 +211,13 @@ class MPoly:
 
     def sorted_terms(self):
         order = self.ctx.order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: order.neg_key(t[0]))
 
     def leading_monomial(self, order=None):
         if not self.terms:
             raise PreconditionError("zero polynomial has no leading monomial")
         order = order or self.ctx.order
-        return max(self.terms, key=order.key)
+        return min(self.terms, key=order.neg_key)
 
     def leading_coeff(self, order=None):
         return self.terms[self.leading_monomial(order)]
@@ -407,7 +407,7 @@ def exact_div(p, q):
     quot = {}
     rest = dict(p.terms)
     while rest:
-        m = max(rest, key=order.key)
+        m = min(rest, key=order.neg_key)
         c = rest[m]
         diff = tuple(a - b for a, b in zip(m, qlm))
         if any(e < 0 for e in diff):

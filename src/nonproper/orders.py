@@ -1,21 +1,17 @@
 """Monomial orders: graded reverse lexicographic, lexicographic, and
 two-block elimination orders.
 
-An order exposes ``key(exponents)``: a flat tuple of ints that compares
-larger for larger monomials, so negating it entry by entry reverses the
-order.  ``neg_key(exponents)`` builds that negated key directly, without
-the intermediate tuple; the Groebner kernel's min-heaps pop the largest
-monomial first by it.  ``tag`` is a stable string used for basis caching.
+Each order defines one key, ``neg_key(exponents)``: a flat tuple of ints
+that compares smaller for larger monomials, so ``min`` picks the leading
+monomial and the Groebner kernel's min-heaps pop the largest monomial
+first.  ``key(exponents)`` is that tuple negated entry by entry, comparing
+larger for larger monomials.  Both are injective.  ``tag`` is a stable
+string used for basis caching.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, neg
-
-
-def _grevlex_key(exps):
-    """(deg, -e_n, ..., -e_1)."""
-    return (sum(exps), *[-e for e in reversed(exps)])
 
 
 def _picker(positions):
@@ -31,12 +27,12 @@ def _picker(positions):
 class MonomialOrder:
     tag = "abstract"
 
-    def key(self, exps):
+    def neg_key(self, exps):
         raise NotImplementedError
 
-    def neg_key(self, exps):
-        """``key(exps)`` negated entry by entry."""
-        raise NotImplementedError
+    def key(self, exps):
+        """``neg_key(exps)`` negated entry by entry."""
+        return tuple(map(neg, self.neg_key(exps)))
 
     def __repr__(self):
         return f"<order {self.tag}>"
@@ -46,19 +42,14 @@ class MonomialOrder:
 class GrevLex(MonomialOrder):
     tag = "grevlex"
 
-    def key(self, exps):
-        return _grevlex_key(exps)
-
     def neg_key(self, exps):
+        """(-deg, e_n, ..., e_1)."""
         return (-sum(exps), *exps[::-1])
 
 
 @dataclass(frozen=True, repr=False)
 class Lex(MonomialOrder):
     tag = "lex"
-
-    def key(self, exps):
-        return tuple(exps)
 
     def neg_key(self, exps):
         return tuple(map(neg, exps))
@@ -82,23 +73,12 @@ class BlockElim(MonomialOrder):
         return f"block[{elim}]"
 
     @cached_property
-    def _blocks(self):
-        """Positions of the eliminated and of the kept variables, each
-        listed last variable first."""
-        back = range(len(self.mask) - 1, -1, -1)
-        return [i for i in back if self.mask[i]], [i for i in back if not self.mask[i]]
-
-    def key(self, exps):
-        first, second = self._blocks
-        f = [-exps[i] for i in first]
-        s = [-exps[i] for i in second]
-        return (-sum(f), *f, -sum(s), *s)
-
-    @cached_property
     def _pickers(self):
-        """Per block, a callable taking the tuple of its exponents, last
-        variable first."""
-        return tuple(map(_picker, self._blocks))
+        """For the eliminated and for the kept block, a callable taking the
+        tuple of its exponents, last variable first."""
+        back = range(len(self.mask) - 1, -1, -1)
+        return (_picker([i for i in back if self.mask[i]]),
+                _picker([i for i in back if not self.mask[i]]))
 
     def neg_key(self, exps):
         pf, ps = self._pickers

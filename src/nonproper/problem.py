@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .errors import ParseError, PreconditionError
 from .groebner import Ideal
 from .mpoly import Context
 from .orders import GREVLEX, LEX
-from .parser import parse_poly
+from .parser import NAME, parse_poly, path_expression
 from .properness import PolyMap
 from .tracker import PathSpec
 
@@ -31,7 +30,6 @@ FORMAT_VERSION = 1
 # convergence test needs 4 indices, and the cap bounds the size of the
 # exact image curves, whose coefficients grow with k
 KMAX_RANGE = (4, 40)
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_rational(text):
@@ -50,115 +48,14 @@ def format_rational(q):
     return str(Fraction(q))
 
 
-# -- arithmetic expressions in k (for paths) -----------------------------------
-
-_EXPR_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
-
-
-def path_tokens(text):
-    """The tokens of an arithmetic expression in the index variable k,
-    ending in None.
-
-    Full rational arithmetic ( + - * / ^ , unary minus, parentheses ) is
-    allowed here, unlike in polynomial text, because path coordinates are
-    rational functions of the index."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in path expression")
-        tokens.append(m.group(0).strip())
-        pos = m.end()
-    tokens.append(None)
-    return tokens
-
-
-def eval_path_tokens(tokens, text, k):
-    """Evaluate the tokens of the path expression text exactly at k.
-    Malformed text and a division by zero at k raise ParseError."""
-    k = Fraction(k)
-    i = [0]
-
-    def peek():
-        return tokens[i[0]]
-
-    def take():
-        t = tokens[i[0]]
-        i[0] += 1
-        return t
-
-    def expr():
-        v = term()
-        while peek() in ("+", "-"):
-            op = take()
-            w = term()
-            v = v + w if op == "+" else v - w
-        return v
-
-    def term():
-        v = factor()
-        while peek() in ("*", "/"):
-            op = take()
-            w = factor()
-            if op == "/":
-                if w == 0:
-                    raise ParseError(f"division by zero in path expression {text!r}")
-                v = v / w
-            else:
-                v = v * w
-        return v
-
-    def factor():
-        if peek() == "-":
-            take()
-            return -factor()
-        return power()
-
-    def power():
-        v = atom()
-        while peek() == "^":
-            take()
-            e = take()
-            if e is None or not e.isdigit():
-                raise ParseError(f"expected integer exponent in path expression {text!r}")
-            v = v ** int(e)
-        return v
-
-    def atom():
-        t = take()
-        if t is None:
-            raise ParseError(f"unexpected end of path expression {text!r}")
-        if t.isdigit():
-            return Fraction(int(t))
-        if t == "(":
-            v = expr()
-            if take() != ")":
-                raise ParseError(f"missing ')' in path expression {text!r}")
-            return v
-        if t == "k":
-            return k
-        raise ParseError(f"unexpected {t!r} in path expression {text!r} (only 'k' is bound)")
-
-    v = expr()
-    if peek() is not None:
-        raise ParseError(f"trailing input in path expression {text!r}")
-    return v
-
-
 def path_from_spec(spec, kmax):
     """PathSpec from a path object checked at load time:
     {'kind': ..., 'point': [exprs in k]}."""
     kind = spec.get("kind", "radial")
-    exprs = [(e, path_tokens(e)) for e in spec["point"]]
-    for e, tokens in exprs:
-        eval_path_tokens(tokens, e, 2)  # validate early
+    coords = [path_expression(e) for e in spec["point"]]
 
     def point_fn(k):
-        return tuple(eval_path_tokens(tokens, e, k) for e, tokens in exprs)
+        return tuple(c(k) for c in coords)
 
     return PathSpec.geometric(point_fn, kind, kmax)
 
@@ -307,7 +204,7 @@ def _check_lengths(key, points, n, per):
 
 def _action_param(data, vars_):
     name = data.get("action_param", "g")
-    if not isinstance(name, str) or not _NAME.fullmatch(name):
+    if not isinstance(name, str) or not NAME.fullmatch(name):
         raise ParseError("'action_param' must be a variable name")
     if data.get("action") and name in vars_:
         raise ParseError(f"'action_param' {name!r} must differ from the variables")
@@ -324,7 +221,7 @@ def problem_from_dict(data, raw=b""):
         raise ParseError(f"unsupported problem format {data.get('format')!r}; expected {FORMAT_VERSION}")
     vars_ = data.get("vars")
     if (not isinstance(vars_, list) or not vars_
-            or not all(isinstance(v, str) and _NAME.fullmatch(v) for v in vars_)
+            or not all(isinstance(v, str) and NAME.fullmatch(v) for v in vars_)
             or len(set(vars_)) != len(vars_)):
         raise ParseError("'vars' must be a nonempty list of distinct names")
     mode = data.get("field", "complex")

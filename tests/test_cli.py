@@ -352,6 +352,26 @@ class TestExitTaxonomy:
         assert code == 2 and report is None
         assert "division by zero in path expression '1/(k - 4)'" in err
 
+    @pytest.mark.parametrize("text", ["(" * 300 + "x" + ")" * 300, "-" * 3000 + "x"],
+                             ids=["parentheses", "minuses"])
+    def test_deep_nesting_in_map_text_is_2(self, capsys, tmp_path, text):
+        path = write_problem(tmp_path, {"format": 1, "vars": ["x", "y"], "map": [text, "y"]})
+        code, report, err = run_cli(capsys, "sf", path, "--quiet")
+        assert code == 2 and report is None
+        assert err.startswith("parse error:") and "nested" in err and "at position 100" in err
+
+    def test_deep_nesting_in_path_text_is_2(self, capsys, tmp_path):
+        text = "(" * 300 + "k" + ")" * 300
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "map": ["x + (x*y)^2", "x*y"],
+            "targets": [["4", "2"]],
+            "paths": [{"kind": "radial", "point": [text, "2*k^2"]}],
+        })
+        code, report, err = run_cli(capsys, "track", path, "--quiet")
+        assert code == 2 and report is None
+        assert err.startswith("parse error:") and "nested" in err and "at position 100" in err
+        assert f"path expression {text!r}" in err
+
     def test_reused_parser_keeps_no_flags_between_calls(self, capsys, tmp_path):
         assert build_parser() is build_parser()
         path = write_problem(tmp_path, {

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
@@ -5,6 +7,7 @@ from nonproper.errors import ParseError
 from nonproper.mpoly import Context
 from nonproper.orders import LEX
 from nonproper.parser import parse_poly
+from nonproper.problem import path_from_spec
 
 from conftest import mpolys
 
@@ -36,6 +39,13 @@ class TestGrammar:
     def test_chained_powers(self):
         ctx = Context(("x",))
         assert parse_poly("x^2^3", ctx) == parse_poly("x^6", ctx)
+
+
+    def test_nesting_at_the_cap_parses(self):
+        # 100 levels of '(' and unary '-'; one more is a parse error
+        # (tests/test_cli.py)
+        ctx = Context(("x",))
+        assert parse_poly("(" * 99 + "-x" + ")" * 99, ctx) == -parse_poly("x", ctx)
 
 
 class TestErrors:
@@ -78,3 +88,28 @@ class TestRoundTrip:
                   ctx=Context(("y1", "y2"), LEX)))
     def test_roundtrip_lex_context(self, p):
         assert parse_poly(p.to_str(), p.ctx) == p
+
+
+def path_value(text, k):
+    """The value at k of a one-coordinate path from a problem file."""
+    return path_from_spec({"point": [text]}, 4).point_fn(k)[0]
+
+
+class TestPathExpressions:
+    @pytest.mark.parametrize("text, k, value", [
+        ("2/3^2", 2, Fraction(2, 9)),  # no rational literals: '^' binds first
+        ("2^3^2", 2, 64),  # '^' is left-associative
+        ("-k^2", 3, -9),
+        ("(k+1)/(k-1)", 3, 2),
+        ("- -k", 2, 2),
+        ("1/k^2", 4, Fraction(1, 16)),
+    ])
+    def test_value(self, text, k, value):
+        v = path_value(text, k)
+        assert v == value and type(v) is Fraction
+
+    @pytest.mark.parametrize("text", ["x", "1/k^", "k^k", "k 2", "1.5", "(k", "k)", ""])
+    def test_malformed_text_names_the_expression(self, text):
+        with pytest.raises(ParseError) as e:
+            path_value(text, 2)
+        assert f"path expression {text!r}" in str(e.value)
