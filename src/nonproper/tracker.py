@@ -20,8 +20,19 @@ far above its float rounding error, marks the bisection steps whose
 outcome is already known; those skip the evaluation, so lam is the same
 dyadic midpoint, bit for bit, as when every step evaluates.
 
-Everything exact happens in Fractions (the per-step image curves are
-exact); floats enter only for normalization and the convergence metric.
+Each step is exact in integers: the map's terms are prepared once per run
+as int numerators over one denominator per component, and each step's
+image curve comes out as int numerator rows over per-component
+denominators.  Normalization reads the floats n / den straight from those
+integers (int true division is correctly rounded, so each float is the
+float of the reduced Fraction); Fractions are built only for the last
+step's curve, the one rationalize_verify snaps and verifies.  Floats
+enter only for normalization and the convergence metric.  The per-step
+float tuples are built from lists, not generators: a tuple built from a
+generator is sized by reallocation, so it bypasses the tuple free list
+when allocated yet joins it when freed, and with the integer loop's rare
+full collections those free lists would grow the resident set.
+
 The subsequence/compactness step of the underlying existence argument is
 replaced by a geometric index schedule and a deterministic convergence
 test; non-convergent runs are reported, never silently resampled.
@@ -79,6 +90,75 @@ class PathSpec:
         return cls(kind, point_fn, tuple(2 ** i for i in range(1, kmax + 1)))
 
 
+def _image_kernel(f, mode):
+    """Prepare f for exact image curves along scaled lines, in integers.
+
+    Returns ``expand(base) -> (rows, dens)``: rows[i][c] / dens[c] is the
+    t^i coefficient of component c of f along the line through ``base``
+    (see image_curve), every entry an int, trailing zero rows trimmed.
+
+    Component c's terms are prepared once as int numerators a over one
+    denominator Dc, each with its w-degree j and total degree |e|.  Per
+    step the base point goes over one denominator D, b = n / D, so a term
+    a*x^e/Dc is a*n^e*D^(top-|e|) / (Dc*D^top), where top is the
+    component's total degree: each g_j is an int sum over the denominator
+    Dc*D^top, and so is each binomial sum.
+    """
+    if mode == "radial":
+        weight = (1,) * f.n
+    elif mode == "cylinder":
+        weight = (1,) + (0,) * (f.n - 1)
+    else:
+        raise PreconditionError(f"unknown image_curve mode {mode!r}")
+    comps = []
+    for comp in f.components:
+        den = math.lcm(*(c.denominator for c in comp.terms.values()))
+        terms = [(tuple((v, e) for v, e in enumerate(mono) if e),
+                  c.numerator * (den // c.denominator),
+                  sum(e for e, w in zip(mono, weight) if w), sum(mono))
+                 for mono, c in comp.terms.items()]
+        comps.append((den, terms, max((t[3] for t in terms), default=0)))
+    depth = max((t[2] for _, terms, _ in comps for t in terms), default=0) + 1
+    # coefficient of t^i: sum over the w-degrees j >= i of (-1)^i C(j, i) g_j
+    binoms = []
+    for _, terms, _ in comps:
+        js = sorted({t[2] for t in terms})
+        binoms.append([[(j, (-1) ** i * math.comb(j, i)) for j in js if j >= i]
+                       for i in range(depth)])
+    n = f.n
+    top_all = max(top for _, _, top in comps)
+
+    def expand(base):
+        base = [Q(x) for x in base]
+        if len(base) != n:
+            raise PreconditionError("base point arity mismatch")
+        d = math.lcm(*(b.denominator for b in base))
+        nums = [b.numerator * (d // b.denominator) for b in base]
+        dpow = [1]
+        for _ in range(top_all):
+            dpow.append(dpow[-1] * d)
+        cols, dens = [], []
+        for (den, terms, top), binom in zip(comps, binoms):
+            g = [0] * depth
+            for mono, a, j, deg in terms:
+                for v, e in mono:
+                    a *= nums[v] ** e
+                g[j] += a * dpow[top - deg]
+            cols.append([sum([c * g[j] for j, c in row]) for row in binom])
+            dens.append(den * dpow[top])
+        rows = list(zip(*cols))
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()
+        return rows, dens
+
+    return expand
+
+
+def _exact_curve(m, rows, dens):
+    return ParametricCurve(m, len(rows) - 1,
+                           tuple(tuple(Q(a, d) for a, d in zip(row, dens)) for row in rows))
+
+
 def image_curve(f, base, mode="radial"):
     """Exact t-expansion of f along the scaled line through a base point.
 
@@ -92,39 +172,7 @@ def image_curve(f, base, mode="radial"):
     coefficient of t^i is (-1)^i * sum_j C(j, i) * g_j.  Returns the
     curve with trailing zero coefficient vectors trimmed.
     """
-    base = [Q(x) for x in base]
-    if len(base) != f.n:
-        raise PreconditionError("base point arity mismatch")
-    if mode == "radial":
-        weight = (1,) * f.n
-    elif mode == "cylinder":
-        weight = (1,) + (0,) * (f.n - 1)
-    else:
-        raise PreconditionError(f"unknown image_curve mode {mode!r}")
-    graded = []
-    for comp in f.components:
-        g = {}
-        for mono, c in comp.terms.items():
-            for b, e in zip(base, mono):
-                if e:
-                    c *= b ** e
-            j = sum(e for e, w in zip(mono, weight) if w)
-            g[j] = g.get(j, 0) + c
-        graded.append(g)
-    depth = max((j for g in graded for j in g), default=0) + 1
-    cols = []
-    for g in graded:
-        # integer binomial sums over one common denominator per component
-        den = math.lcm(*(v.denominator for v in g.values()))
-        nums = [(j, v.numerator * (den // v.denominator)) for j, v in g.items()]
-        cols.append([
-            Q((-1) ** i * sum(math.comb(j, i) * n for j, n in nums if j >= i), den)
-            for i in range(depth)
-        ])
-    rows = list(zip(*cols))
-    while len(rows) > 1 and not any(rows[-1]):
-        rows.pop()
-    return ParametricCurve(f.m, len(rows) - 1, tuple(rows))
+    return _exact_curve(f.m, *_image_kernel(f, mode)(base))
 
 
 def norm_objective(norms2, lam):
@@ -159,10 +207,11 @@ def unit_normalize(coeffs):
     """(lam, normalized) with normalized = c_i * lam^i of unit Euclidean
     norm, lam > 0 solved by bracket doubling plus bisection.
 
-    ``coeffs`` is a sequence of coefficient rows; the result rows are
-    tuples of complex.  Requires the constant coefficient to have norm < 1
-    (otherwise the step is not yet in the convergence regime) and some
-    higher coefficient to be nonzero (otherwise the curve is constant).
+    ``coeffs`` is a sequence of coefficient rows of numbers that
+    ``complex()`` takes; the result rows are tuples of complex.  Requires
+    the constant coefficient to have norm < 1 (otherwise the step is not
+    yet in the convergence regime) and some higher coefficient to be
+    nonzero (otherwise the curve is constant).
 
     Bisection midpoints whose outcome is already known are not evaluated.
     From a Newton root estimate r, a = r(1 - 1e-12) is kept if
@@ -172,8 +221,7 @@ def unit_normalize(coeffs):
     midpoint below a would evaluate below 1 - 1e-13 (lo moves up) and one
     above b above 1 + 1e-13 (hi moves down): lam is the same midpoint, bit
     for bit, and a poor or NaN estimate only costs evaluations."""
-    rows = [tuple(complex(c.numerator / c.denominator) if isinstance(c, Fraction)
-                  else complex(c) for c in row) for row in coeffs]
+    rows = [tuple([complex(c) for c in row]) for row in coeffs]
     norms2 = [sum(a * a for a in map(abs, row)) for row in rows]
     if norms2[0] >= 1.0:
         raise PreconditionError(
@@ -211,16 +259,14 @@ def unit_normalize(coeffs):
             hi = mid
         if abs(math.sqrt(val) - 1.0) < 1e-13:
             break
-    scaled = tuple(tuple(c * lam ** i for c in row) for i, row in enumerate(rows))
+    scaled = tuple([tuple([c * lam ** i for c in row]) for i, row in enumerate(rows)])
     return lam, scaled
 
 
 @dataclass(frozen=True)
 class StepRecord:
     k: int
-    raw: ParametricCurve  # exact image curve, already translated by the target
-    lam: float
-    normalized: tuple  # rows of complex, phase-aligned to the previous step
+    lam: float  # nan when the step is out of regime
     in_regime: bool
 
 
@@ -235,15 +281,14 @@ class LimitTrace:
     status: str  # converged | diverged | constant-curve-hit
     limit_estimate: tuple  # rows of complex, t-powers, translated back by the target
     lambdas: tuple
+    # exact image curve of the last computed step, translated by the target
+    final_raw: ParametricCurve
 
     def lambda_growth(self):
         """Consecutive ratios of the normalization factors; a diagnostic
         for whether the reparametrization scale stays finite (ratios
         near 1) or escapes (ratios drifting), never a branch point."""
         return tuple(b / a for a, b in zip(self.lambdas, self.lambdas[1:]))
-
-    def final_raw(self):
-        return self.steps[-1].raw
 
 
 def _phase_align(prev, cur):
@@ -258,7 +303,7 @@ def _phase_align(prev, cur):
     if abs(inner) < 1e-300:
         return cur, float("inf")
     u = inner / abs(inner)
-    aligned = tuple(tuple(u * c for c in row) for row in cur)
+    aligned = tuple([tuple([u * c for c in row]) for row in cur])
     return aligned, max(abs(a - p) for ra, rp in zip(aligned, prev) for a, p in zip(ra, rp))
 
 
@@ -287,22 +332,26 @@ def track(f, target, path, tol=1e-8):
     # the image curve of f - target is the image curve of f translated by
     # the target: the constants only reach the t^0 coefficient
     shifted = replace(f, components=tuple(c - t for c, t in zip(f.components, target)))
+    expand = _image_kernel(shifted, path.kind)
     for k, pt in zip(path.schedule, points):
-        raw = image_curve(shifted, pt, path.kind)
+        rows, dens = expand(pt)
         try:
-            lam, normalized = unit_normalize(raw.coeffs)
+            # int true division is correctly rounded: each float is the
+            # float of the reduced Fraction
+            lam, normalized = unit_normalize([[a / d for a, d in zip(row, dens)]
+                                              for row in rows])
         except ConstantCurveError:
             status = "constant-curve-hit"
-            steps.append(StepRecord(k, raw, float("nan"), None, False))
+            steps.append(StepRecord(k, float("nan"), False))
             break
         except PreconditionError:
-            steps.append(StepRecord(k, raw, float("nan"), None, False))
+            steps.append(StepRecord(k, float("nan"), False))
             continue
         if prev_norm is not None:
             normalized, diff = _phase_align(prev_norm, normalized)
             diffs.append(diff)
         prev_norm = normalized
-        steps.append(StepRecord(k, raw, lam, normalized, True))
+        steps.append(StepRecord(k, lam, True))
     if status is None:
         usable = [s for s in steps if s.in_regime]
         tail = diffs[-3:]
@@ -311,11 +360,9 @@ def track(f, target, path, tol=1e-8):
         else:
             status = "diverged"
     limit = ((0j,) * f.m,)
-    for s in reversed(steps):
-        if s.in_regime:
-            row0 = tuple(c + complex(t) for c, t in zip(s.normalized[0], target))
-            limit = (row0,) + s.normalized[1:]
-            break
+    if prev_norm is not None:
+        row0 = tuple(c + complex(t) for c, t in zip(prev_norm[0], target))
+        limit = (row0,) + prev_norm[1:]
     lambdas = tuple(s.lam for s in steps if s.in_regime)
     return LimitTrace(
         target=target,
@@ -325,6 +372,7 @@ def track(f, target, path, tol=1e-8):
         status=status,
         limit_estimate=limit,
         lambdas=lambdas,
+        final_raw=_exact_curve(f.m, rows, dens),
     )
 
 
@@ -352,7 +400,7 @@ def rationalize_verify(trace, sf):
     verification then has no numeric content at all.  Raises
     VerificationError when snapping fails or a component generator does
     not vanish on the curve."""
-    raw = trace.final_raw()
+    raw = trace.final_raw
     coords = []
     for i in range(raw.m):
         cs = raw.coordinate(i) or [Q(0)]

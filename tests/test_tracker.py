@@ -239,9 +239,14 @@ SCHEDULES = [twist_target_path(d) for d in range(2, 9)] + [
     (SCALING, (0, 1), lambda k: (Q(1, k * k), Q(k * k)))]
 
 
+def shifted_map(f, target):
+    """f - target, whose image curves are the ones track normalizes."""
+    return replace(f, components=tuple(c - Q(t) for c, t in zip(f.components, target)))
+
+
 def schedule_rows(f, target, point_fn, kmax=40):
     """The coefficient rows track normalizes along a geometric schedule."""
-    shifted = replace(f, components=tuple(c - Q(t) for c, t in zip(f.components, target)))
+    shifted = shifted_map(f, target)
     return [image_curve(shifted, point_fn(2 ** i)).coeffs for i in range(1, kmax + 1)]
 
 
@@ -327,9 +332,12 @@ class TestTrack:
         assert all(abs(g - 1.0) < 1e-6 for g in growth[-3:])
 
     def test_constant_coefficient_shrinks_monotonically(self):
-        trace = track(SCALING, (0, 1), quad_path("inv_k2", "k2"))
-        tail = [s for s in trace.steps if s.in_regime][-3:]
-        norms = [sum(abs(complex(c)) ** 2 for c in s.raw.coeffs[0]) for s in tail]
+        path = quad_path("inv_k2", "k2")
+        trace = track(SCALING, (0, 1), path)
+        shifted = shifted_map(SCALING, (0, 1))
+        tail = [s.k for s in trace.steps if s.in_regime][-3:]
+        raws = [image_curve(shifted, path.point_fn(k)) for k in tail]
+        norms = [sum(abs(complex(c)) ** 2 for c in raw.coeffs[0]) for raw in raws]
         assert norms[0] > norms[1] > norms[2]
 
     def test_degree_contract(self):
@@ -358,6 +366,14 @@ class TestTrack:
         path = PathSpec.geometric(lambda k: (Q(k), Q(0)), "radial", 8)
         trace = track(f, (0, 0), path)
         assert trace.status == "constant-curve-hit"
+
+    def test_point_of_wrong_length_rejected_at_its_step(self):
+        # the last point has the right length, so only the per-step check
+        # sees the short early points
+        path = PathSpec.geometric(
+            lambda k: (Q(1, k * k), Q(k * k)) if k > 4 else (Q(1, k * k),), "radial", 20)
+        with pytest.raises(PreconditionError, match="arity"):
+            track(SCALING, (0, 1), path)
 
     def test_two_component_set_accepts_curve_in_one_component(self):
         C4 = Context(("x1", "x2", "x3", "x4"))
@@ -391,6 +407,103 @@ class TestTrack:
             PathSpec("radial", lambda k: (Q(k),), (1, 2, 2, 3))
 
 
+def reference_track(f, target, path, tol=1e-8):
+    """Reference step loop: each step's exact Fraction image curve,
+    normalized from its Fractions and phase-aligned.  Returns what
+    oracle_outcome reads from a trace."""
+    target = tuple(Q(x) for x in target)
+    shifted = shifted_map(f, target)
+    lambdas, diffs = [], []
+    prev_norm = None
+    status = None
+    for k in path.schedule:
+        raw = image_curve(shifted, path.point_fn(k), path.kind)
+        try:
+            lam, normalized = unit_normalize(raw.coeffs)
+        except ConstantCurveError:
+            status = "constant-curve-hit"
+            break
+        except PreconditionError:
+            continue
+        if prev_norm is not None:
+            normalized, diff = tracker._phase_align(prev_norm, normalized)
+            diffs.append(diff)
+        prev_norm = normalized
+        lambdas.append(lam)
+    if status is None:
+        tail = diffs[-3:]
+        converged = len(lambdas) >= 4 and len(tail) == 3 and all(d < tol for d in tail)
+        status = "converged" if converged else "diverged"
+    limit = ((0j,) * f.m,)
+    if prev_norm is not None:
+        limit = (tuple(c + complex(t) for c, t in zip(prev_norm[0], target)),) + prev_norm[1:]
+    return status, repr(tuple(lambdas)), repr(tuple(diffs)), [repr(r) for r in limit], raw
+
+
+def oracle_outcome(trace):
+    return (trace.status, repr(trace.lambdas), repr(trace.diffs),
+            [repr(r) for r in trace.limit_estimate], trace.final_raw)
+
+
+@st.composite
+def tracking_cases(draw):
+    """(f, target, path): either a twist-like map (a*x + b*(x*y)^d + c,
+    e*x*y + g) along (p/k^2, q*k^2) to its limit point, or a generated map
+    in 1-3 variables along r_i * k^s_i to its value at the last point.
+    Coefficients, targets and path factors are non-integer rationals; the
+    path is radial or cylinder."""
+    kind = draw(st.sampled_from(("radial", "cylinder")))
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    if draw(st.booleans()):
+        a, b, c, e, g, p, q = (draw(nonzero) for _ in range(7))
+        d = draw(st.integers(min_value=1, max_value=5))
+        ctx = CXY
+        f = PolyMap(ctx, (a * ctx.var("x") + b * ctx.var("x") ** d * ctx.var("y") ** d + c,
+                          e * ctx.var("x") * ctx.var("y") + g))
+        target = (b * (p * q) ** d + c, e * p * q + g)
+        # from kmax 18 on, the 1/k^2 residual is under track's bound and the
+        # dust mostly under its tol
+        kmax = draw(st.integers(min_value=18, max_value=22))
+        path = PathSpec.geometric(lambda k: (p / (k * k), q * k * k), kind, kmax)
+        return f, target, path
+    n = draw(st.integers(min_value=1, max_value=3))
+    ctx = Context(tuple(f"x{i + 1}" for i in range(n)))
+    comps = tuple(draw(mpolys(ctx=ctx, max_terms=4, max_exp=3)) + draw(small_fractions)
+                  for _ in range(draw(st.integers(min_value=1, max_value=3))))
+    assume(max(c.total_degree() for c in comps) >= 1)
+    factors = [(draw(nonzero), draw(st.integers(min_value=-2, max_value=2))) for _ in range(n)]
+    kmax = draw(st.integers(min_value=4, max_value=16))
+    path = PathSpec.geometric(lambda k: tuple(r * Q(k) ** s for r, s in factors), kind, kmax)
+    f = PolyMap(ctx, comps)
+    return f, f.evaluate(path.point_fn(path.schedule[-1])), path
+
+
+class TestTrackOracle:
+    """track's integer step loop gives what the Fraction step loop gives:
+    the same status, floats bit for bit, and the same last exact curve."""
+
+    @settings(max_examples=60)
+    @given(tracking_cases())
+    def test_matches_fraction_step_loop(self, case):
+        f, target, path = case
+        assert oracle_outcome(track(f, target, path)) == reference_track(f, target, path)
+
+    @pytest.mark.parametrize("f,target,point_fn", SCHEDULES)
+    def test_matches_fraction_step_loop_on_tracker_schedules(self, f, target, point_fn):
+        for kind in ("radial", "cylinder"):
+            path = PathSpec.geometric(point_fn, kind, 30)
+            assert oracle_outcome(track(f, target, path)) == reference_track(f, target, path)
+
+    def test_constant_curve_hit_keeps_that_steps_curve(self):
+        f = pmap(C2, "x1*x2", "x2")
+        path = PathSpec.geometric(lambda k: (Q(k), Q(0)), "radial", 8)
+        trace = track(f, (0, 0), path)
+        assert trace.status == "constant-curve-hit"
+        # the first step hit: its exact curve, the zero curve, is kept
+        assert trace.final_raw == image_curve(f, (2, 0))
+        assert oracle_outcome(trace) == reference_track(f, (0, 0), path)
+
+
 def test_cli_import_leaves_numpy_out():
     # the tracker computes in plain Python complex; numpy is test-only
     src = str(Path(nonproper.__file__).resolve().parents[1])
@@ -406,7 +519,7 @@ class TestRationalizeVerify:
         sf = sf_compute(f)
         # synthetic trace whose final curve is (t, t): off the set
         bad = ParametricCurve(2, 1, ((Q(0), Q(0)), (Q(1), Q(1))))
-        step = StepRecord(k=2, raw=bad, lam=1.0, normalized=None, in_regime=True)
+        step = StepRecord(k=2, lam=1.0, in_regime=True)
         trace = LimitTrace(
             target=(Q(0), Q(0)),
             path=PathSpec.geometric(lambda k: (Q(1, k), Q(k)), "radial", 4),
@@ -415,6 +528,7 @@ class TestRationalizeVerify:
             status="converged",
             limit_estimate=None,
             lambdas=(1.0,),
+            final_raw=bad,
         )
         with pytest.raises(VerificationError, match="does not satisfy"):
             rationalize_verify(trace, sf)
@@ -423,12 +537,12 @@ class TestRationalizeVerify:
         f = twist(2)
         sf = sf_compute(f)
         const = ParametricCurve(2, 0, ((Q(1), Q(1)),))
-        step = StepRecord(k=2, raw=const, lam=1.0, normalized=None, in_regime=True)
+        step = StepRecord(k=2, lam=1.0, in_regime=True)
         trace = LimitTrace(
             target=(Q(0), Q(0)),
             path=PathSpec.geometric(lambda k: (Q(1, k), Q(k)), "radial", 4),
             steps=(step,), diffs=(), status="converged",
-            limit_estimate=None, lambdas=(1.0,),
+            limit_estimate=None, lambdas=(1.0,), final_raw=const,
         )
         with pytest.raises(VerificationError, match="constant"):
             rationalize_verify(trace, sf)
