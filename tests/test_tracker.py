@@ -366,6 +366,9 @@ class TestTrack:
         path = PathSpec.geometric(lambda k: (Q(k), Q(0)), "radial", 8)
         trace = track(f, (0, 0), path)
         assert trace.status == "constant-curve-hit"
+        # the first step hit: its exact curve, the zero curve, is kept
+        assert trace.final_raw == image_curve(f, (2, 0))
+        assert oracle_outcome(trace) == reference_track(f, (0, 0), path)
 
     def test_point_of_wrong_length_rejected_at_its_step(self):
         # the last point has the right length, so only the per-step check
@@ -457,9 +460,8 @@ def tracking_cases(draw):
     if draw(st.booleans()):
         a, b, c, e, g, p, q = (draw(nonzero) for _ in range(7))
         d = draw(st.integers(min_value=1, max_value=5))
-        ctx = CXY
-        f = PolyMap(ctx, (a * ctx.var("x") + b * ctx.var("x") ** d * ctx.var("y") ** d + c,
-                          e * ctx.var("x") * ctx.var("y") + g))
+        x, y = CXY.var("x"), CXY.var("y")
+        f = PolyMap(CXY, (a * x + b * (x * y) ** d + c, e * x * y + g))
         target = (b * (p * q) ** d + c, e * p * q + g)
         # from kmax 18 on, the 1/k^2 residual is under track's bound and the
         # dust mostly under its tol
@@ -493,15 +495,6 @@ class TestTrackOracle:
         for kind in ("radial", "cylinder"):
             path = PathSpec.geometric(point_fn, kind, 30)
             assert oracle_outcome(track(f, target, path)) == reference_track(f, target, path)
-
-    def test_constant_curve_hit_keeps_that_steps_curve(self):
-        f = pmap(C2, "x1*x2", "x2")
-        path = PathSpec.geometric(lambda k: (Q(k), Q(0)), "radial", 8)
-        trace = track(f, (0, 0), path)
-        assert trace.status == "constant-curve-hit"
-        # the first step hit: its exact curve, the zero curve, is kept
-        assert trace.final_raw == image_curve(f, (2, 0))
-        assert oracle_outcome(trace) == reference_track(f, (0, 0), path)
 
 
 def test_cli_import_leaves_numpy_out():
