@@ -6,11 +6,11 @@ A parametric curve here is a polynomial map from the line into affine
 space, stored as exact coefficient vectors.  Everything that claims
 anything is verified exactly, in rational arithmetic.
 
-There is one t-expansion, ``expand_along``: a polynomial composed with
-coordinates that are plain term dicts keyed by (t power, *exponents of
-the unknowns), with int values unless a base point is not integral.  The
-ansatz equations are its t^k coefficients (``ansatz_system``) and
-``substitute_curve`` is the case with no unknowns.
+A polynomial is expanded along a curve by ``mpoly.expand_along``, the one
+composition of a polynomial with term-dict coordinates, here keyed by
+(t power, *exponents of the unknowns), with int values unless a base point
+is not integral.  The ansatz equations are the t^k coefficients
+(``ansatz_system``) and ``substitute_curve`` is the case with no unknowns.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from operator import add
 
 from .errors import PreconditionError
 from .groebner import Ideal, buchberger, eliminate
-from .mpoly import Context, MPoly, resultant
+from .mpoly import Context, MPoly, expand_along, resultant
 from .orders import GREVLEX, LEX
 from .unipoly import (
     Q,
@@ -38,47 +37,6 @@ from .unipoly import (
     usub,
     utrim,
 )
-
-# -- the t-expansion ----------------------------------------------------------------
-
-
-def _tmul(a, b):
-    """Product of two term dicts keyed by exponent tuples."""
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(map(add, ka, kb))
-            out[k] = out.get(k, 0) + va * vb
-    return out
-
-
-def expand_along(p, coords):
-    """p(c_1, ..., c_n) expanded, as a term dict without zero values.
-
-    Each coordinate c_i is a term dict keyed by (t power, *exponents of
-    the unknowns) with int or Fraction values, and the result has the same
-    keys.  The powers of each coordinate are built once per call; with no
-    unknowns the keys are (t power,)."""
-    zero = (0,) * next((len(k) for c in coords for k in c), 1)
-    powers = []
-    for i, c in enumerate(coords):
-        top = max((m[i] for m in p.terms), default=0)
-        row = [None, c]
-        while len(row) <= top:
-            row.append(_tmul(row[-1], c))
-        powers.append(row)
-    total = {}
-    for mono, c in p.terms.items():
-        if c.denominator == 1:
-            c = c.numerator
-        term = None
-        for row, e in zip(powers, mono):
-            if e:
-                term = row[e] if term is None else _tmul(term, row[e])
-        for k, v in ({zero: 1} if term is None else term).items():
-            total[k] = total.get(k, 0) + c * v
-    return {k: v for k, v in total.items() if v}
-
 
 # -- parametric curves ----------------------------------------------------------
 
@@ -169,7 +127,7 @@ def substitute_curve(p, curve):
             f"ambient dimension mismatch: polynomial in {p.ctx.arity} variables, curve in {curve.m}"
         )
     coords = [{(j,): c for j, c in enumerate(curve.coordinate(i)) if c} for i in range(curve.m)]
-    terms = expand_along(p, coords)
+    terms = expand_along(p, coords, 1)
     cs = [0] * (1 + max((k for k, in terms), default=0))
     for (k,), c in terms.items():
         cs[k] = c
@@ -252,7 +210,7 @@ def ansatz_system(variety, a, d):
     seen = set()
     for g in variety.generators:
         by_power = {}
-        for key, c in expand_along(g, coords).items():
+        for key, c in expand_along(g, coords, n + 1).items():
             by_power.setdefault(key[0], {})[key[1:]] = c
         if 0 in by_power:
             raise AssertionError("constant term must vanish for a base point on the variety")
@@ -647,12 +605,6 @@ def certify(variety, inequalities, d, samples, mode="complex", sharpness=False):
 # -- univariate decomposition --------------------------------------------------------
 
 
-def _divisors_desc(n):
-    out = [r for r in range(2, n) if n % r == 0]
-    out.sort(reverse=True)
-    return out
-
-
 def _inner_candidate(h, r):
     """The unique possible monic inner of degree r with zero constant
     term for a monic composite h, from the top r-1 coefficients."""
@@ -693,6 +645,19 @@ def _outer_through(cs, g):
     return outer if compose_scalar(outer, g) == cs else None
 
 
+def _factor_through(coords, degrees):
+    """(outer coefficient lists, inner) for the first r in ``degrees`` such
+    that every list in coords factors through the degree-r inner candidate
+    of the first nonconstant list; (coords, t) when no r does."""
+    h = umonic(next(cs for cs in coords if udeg(cs) >= 1))
+    for r in degrees:
+        g = _inner_candidate(h, r)
+        outers = [_outer_through(cs, g) for cs in coords]
+        if all(o is not None for o in outers):
+            return outers, g
+    return coords, [Q(0), Q(1)]
+
+
 def decompose(u):
     """Write the coefficient list u = outer(inner) with inner of maximal
     degree among proper decompositions, inner monic with inner(0) = 0;
@@ -702,13 +667,8 @@ def decompose(u):
     n = udeg(cs)
     if n < 1:
         raise PreconditionError("cannot decompose a constant polynomial")
-    h = umonic(cs)
-    for r in _divisors_desc(n):
-        g = _inner_candidate(h, r)
-        outer = _outer_through(cs, g)
-        if outer is not None:
-            return outer, g
-    return cs, [Q(0), Q(1)]
+    (outer,), g = _factor_through([cs], [r for r in range(n - 1, 1, -1) if n % r == 0])
+    return outer, g
 
 
 def common_inner(curve):
@@ -716,18 +676,13 @@ def common_inner(curve):
     coordinate factors through g; returns (outer curve, inner coefficient
     list)."""
     coords = curve.coordinates()
-    noncon = [cs for cs in coords if udeg(cs) >= 1]
-    if not noncon:
+    gdeg = math.gcd(*(max(udeg(cs), 0) for cs in coords))
+    if not gdeg:
         raise PreconditionError("constant curve has no inner polynomial")
-    gdeg = 0
-    for cs in noncon:
-        gdeg = math.gcd(gdeg, udeg(cs))
-    for r in sorted([v for v in range(2, gdeg + 1) if gdeg % v == 0], reverse=True):
-        g = _inner_candidate(umonic(noncon[0]), r)
-        outers = [cs if udeg(cs) < 1 else _outer_through(cs, g) for cs in coords]
-        if all(o is not None for o in outers):
-            return ParametricCurve.from_coordinates(outers, curve.mode), g
-    return curve, [Q(0), Q(1)]
+    outers, g = _factor_through(coords, [r for r in range(gdeg, 1, -1) if gdeg % r == 0])
+    if udeg(g) == 1:  # no common inner of degree 2 or more
+        return curve, g
+    return ParametricCurve.from_coordinates(outers, curve.mode), g
 
 
 # -- real image covering ---------------------------------------------------------------

@@ -44,11 +44,11 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, sub
 
 from .errors import PreconditionError
-from .mpoly import Context, MPoly
+from .mpoly import Context, MPoly, _clear_denominators, _lead, _primitive
 from .orders import LEX, block_order
 
 
@@ -62,28 +62,6 @@ def _mono_mul(m1, m2):
 
 def _mono_sub(m1, m2):
     return tuple(map(sub, m1, m2))
-
-
-def _clear_denominators(p):
-    """(D, int term dict of D*p) with D the lcm of p's denominators."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-
-
-def _primitive(lm, terms):
-    """The (lm, lc, terms) triple of an int term dict divided by its
-    content, signed so that the coefficient of lm is positive."""
-    g = gcd(*terms.values())
-    if terms[lm] < 0:
-        g = -g
-    if g != 1:
-        terms = {m: c // g for m, c in terms.items()}
-    return lm, terms[lm], terms
-
-
-def _lead(p, order):
-    """The integer-primitive triple of a nonzero MPoly."""
-    return _primitive(p.leading_monomial(order), _clear_denominators(p)[1])
 
 
 def _reduce(terms, lead, order):

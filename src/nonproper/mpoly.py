@@ -5,13 +5,17 @@ components, ideal generators, ansatz coefficient equations.  A polynomial
 is a finite map from exponent vectors to nonzero ``Fraction`` values,
 attached to a ``Context`` (an ordered tuple of variable names plus the
 active monomial order).  Values are immutable after construction and all
-operations are pure, so concurrent reads are always safe.  Two kernels
-leave ``Fraction`` values: the Groebner kernel (``groebner.py``) works on
-bare term dicts with int values, integer-primitive multiples of these
-polynomials, and builds an ``MPoly`` only for its results; the gcd's
-coprimality certificate (``mpoly_gcd``) evaluates univariate images as int
-lists mod the prime 2^31 - 1.  The gcd's pseudo-remainder sequence keeps
-``MPoly`` values but makes each remainder integer-primitive.
+operations are pure, so concurrent reads are always safe.
+
+The module holds the one kernel of each term-dict primitive: the product
+``_tmul``, the composition ``expand_along``, and the integer-primitive
+form ``_clear_denominators``, ``_primitive`` and ``_lead``.  ``MPoly``'s
+product, substitution and canonical form run on them, and so do the
+Groebner kernel (``groebner.py``, on int term dicts that are
+integer-primitive multiples of these polynomials) and the curve ansatz
+(``curves.py``).  The gcd's coprimality certificate (``mpoly_gcd``)
+evaluates univariate images as int lists mod the prime 2^31 - 1; its
+pseudo-remainder sequence makes each remainder integer-primitive.
 
 Canonical form: an integer-primitive scalar multiple with positive leading
 coefficient under the active order.  Golden-value tests compare canonical
@@ -20,14 +24,77 @@ forms bit-exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 from .errors import PreconditionError
 from .orders import GREVLEX, MonomialOrder
 
-Scalar = Fraction
+# -- term-dict kernels ---------------------------------------------------------
+
+
+def _tmul(a, b):
+    """Product of two term dicts keyed by exponent tuples; cancelled
+    terms stay as zero values."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + va * vb
+    return out
+
+
+def expand_along(p, coords, width):
+    """p(c_1, ..., c_n) expanded, as a term dict without zero values.
+
+    Each coordinate c_i is a term dict keyed by exponent tuples of length
+    ``width`` with int or Fraction values, and the result has the same
+    keys; an unused coordinate may be empty.  The curve machinery keys
+    by (t power, *exponents of the unknowns).  The powers of each
+    coordinate are built once per call."""
+    zero = (0,) * width
+    powers = []
+    for i, c in enumerate(coords):
+        top = max((m[i] for m in p.terms), default=0)
+        row = [None, c]
+        while len(row) <= top:
+            row.append(_tmul(row[-1], c))
+        powers.append(row)
+    total = {}
+    for mono, c in p.terms.items():
+        if c.denominator == 1:
+            c = c.numerator
+        term = None
+        for row, e in zip(powers, mono):
+            if e:
+                term = row[e] if term is None else _tmul(term, row[e])
+        for k, v in ({zero: 1} if term is None else term).items():
+            total[k] = total.get(k, 0) + c * v
+    return {k: v for k, v in total.items() if v}
+
+
+def _clear_denominators(p):
+    """(D, int term dict of D*p) with D the lcm of p's denominators."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+
+
+def _primitive(lm, terms):
+    """The (lm, lc, terms) triple of an int term dict divided by its
+    content, signed so that the coefficient of lm is positive."""
+    g = gcd(*terms.values())
+    if terms[lm] < 0:
+        g = -g
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+    return lm, terms[lm], terms
+
+
+def _lead(p, order):
+    """The integer-primitive triple of a nonzero MPoly."""
+    return _primitive(p.leading_monomial(order), _clear_denominators(p)[1])
 
 
 @dataclass(frozen=True)
@@ -158,16 +225,7 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return MPoly(self.ctx, out)
+        return MPoly(self.ctx, _tmul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -256,22 +314,11 @@ class MPoly:
         ``images`` maps variable names of this context to MPoly values in
         ``target_ctx``.  Every variable actually used must have an image.
         """
-        out = target_ctx.zero()
-        cache = {}
-        for m, c in self.terms.items():
-            term = target_ctx.const(c)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                name = self.ctx.names[i]
-                if name not in images:
-                    raise PreconditionError(f"no substitution image for {name!r}")
-                key = (name, e)
-                if key not in cache:
-                    cache[key] = images[name] ** e
-                term = term * cache[key]
-            out = out + term
-        return out
+        for name in self.support_vars():
+            if name not in images or images[name].ctx.names != target_ctx.names:
+                raise PreconditionError(f"no substitution image in {target_ctx.names} for {name!r}")
+        coords = [images[n].terms if n in images else {} for n in self.ctx.names]
+        return MPoly(target_ctx, expand_along(self, coords, target_ctx.arity))
 
     def coeffs_in(self, name):
         """Coefficients of powers of one variable, as MPoly in the same
@@ -335,27 +382,11 @@ class MPoly:
 
     # -- canonical form ----------------------------------------------------
 
-    def primitive_scale(self):
-        """Positive rational s such that s*self has coprime integer
-        coefficients.  Zero polynomial maps to scale 1."""
-        if not self.terms:
-            return Fraction(1)
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
-        return Fraction(den, num)
-
     def canonical(self, order=None):
         """Integer-primitive multiple with positive leading coefficient."""
         if not self.terms:
             return self
-        s = self.primitive_scale()
-        if self.leading_coeff(order) < 0:
-            s = -s
-        return MPoly(self.ctx, {m: c * s for m, c in self.terms.items()})
+        return MPoly(self.ctx, _lead(self, order)[2])
 
     # -- printing ----------------------------------------------------------
 

@@ -139,6 +139,12 @@ def _relations(elim, name):
     return [g for g in elim.generators if g.degree_in(name) > 0]
 
 
+def _lowest_in(polys, name):
+    """The polynomial of least degree in ``name``, ties broken by the
+    smallest leading monomial under its context order."""
+    return min(polys, key=lambda g: (g.degree_in(name), g.ctx.order.key(g.leading_monomial())))
+
+
 def _min_poly(elim, name):
     """The relation of coordinate_min_poly, taken from the coordinate's
     elimination basis."""
@@ -150,8 +156,7 @@ def _min_poly(elim, name):
             f"map is not generically finite: coordinate {name!r} is not "
             "algebraic over the image"
         )
-    best = min(candidates, key=lambda g: (g.degree_in(name), g.ctx.order.key(g.leading_monomial())))
-    return squarefree_part(best, name).canonical()
+    return squarefree_part(_lowest_in(candidates, name), name).canonical()
 
 
 def coordinate_min_poly(f: PolyMap, j) -> MPoly:
@@ -321,7 +326,7 @@ def _eliminate_var_resultants(polys, name):
     without = [p for p in polys if p.degree_in(name) == 0 and not p.is_zero()]
     if len(with_var) <= 1:
         return without
-    pivot = min(with_var, key=lambda p: (p.degree_in(name), p.ctx.order.key(p.leading_monomial())))
+    pivot = _lowest_in(with_var, name)
     out = list(without)
     for p in with_var:
         if p is pivot:
@@ -347,12 +352,8 @@ def coordinate_min_poly_resultant(f: PolyMap, j) -> MPoly:
         raise PreconditionError(
             f"resultant elimination found no relation for coordinate {keep_name!r}"
         )
-    best = min(
-        candidates,
-        key=lambda g: (g.degree_in(keep_name), g.ctx.order.key(g.leading_monomial())),
-    )
     sub = Context(tuple([keep_name]) + f.image_names, LEX)
-    return squarefree_part(best, keep_name).rebase(sub).canonical()
+    return squarefree_part(_lowest_in(candidates, keep_name), keep_name).rebase(sub).canonical()
 
 
 def sf_components_resultant(f: PolyMap):

@@ -46,6 +46,7 @@ from fractions import Fraction
 
 from .curves import ParametricCurve, common_inner, verify_curve
 from .errors import NonproperError, PreconditionError, VerificationError
+from .mpoly import _clear_denominators
 from .rationals import snap_rational
 from .unipoly import Q
 
@@ -112,11 +113,10 @@ def _image_kernel(f, mode):
         raise PreconditionError(f"unknown image_curve mode {mode!r}")
     comps = []
     for comp in f.components:
-        den = math.lcm(*(c.denominator for c in comp.terms.values()))
-        terms = [(tuple((v, e) for v, e in enumerate(mono) if e),
-                  c.numerator * (den // c.denominator),
+        den, nums = _clear_denominators(comp)
+        terms = [(tuple((v, e) for v, e in enumerate(mono) if e), a,
                   sum(e for e, w in zip(mono, weight) if w), sum(mono))
-                 for mono, c in comp.terms.items()]
+                 for mono, a in nums.items()]
         comps.append((den, terms, max((t[3] for t in terms), default=0)))
     depth = max((t[2] for _, terms, _ in comps for t in terms), default=0) + 1
     # coefficient of t^i: sum over the w-degrees j >= i of (-1)^i C(j, i) g_j

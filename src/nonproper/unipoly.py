@@ -32,7 +32,7 @@ def udeg(cs):
 
 
 # uadd, umul and upow work on Fraction lists; a multivariate polynomial
-# composed with a curve is expanded by curves.expand_along
+# composed with a curve is expanded by mpoly.expand_along
 
 
 def uadd(a, b):

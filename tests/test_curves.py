@@ -456,6 +456,11 @@ class TestCommonInner:
         f, g = common_inner(curve([0, 1], [0, 0, 1]))
         assert g == [Q(0), Q(1)]
 
+    def test_constant_and_zero_coordinates(self):
+        f, g = common_inner(curve([3], [0, 0, 1, 0, 1], [0], [0, 0, 1]))
+        assert g == [Q(0), Q(0), Q(1)]
+        assert f == curve([3], [0, 1, 1], [0], [0, 1])
+
     def test_constant_rejected(self):
         with pytest.raises(PreconditionError):
             common_inner(curve([1], [2]))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nonproper import groebner
 from nonproper.groebner import (
     Ideal,
-    _lead,
     _reduce,
     _spoly_terms,
     buchberger,
@@ -20,7 +19,7 @@ from nonproper.groebner import (
     reduce_poly,
     vanishes_on,
 )
-from nonproper.mpoly import Context, MPoly
+from nonproper.mpoly import Context, MPoly, _lead
 from nonproper.orders import GREVLEX, LEX, BlockElim, block_order
 from nonproper.parser import parse_poly
 from nonproper.problem import render_ideal

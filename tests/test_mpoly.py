@@ -1,9 +1,13 @@
+import math
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from nonproper.errors import PreconditionError
 from nonproper.mpoly import (
     Context,
+    MPoly,
     det_mpoly,
     exact_div,
     mpoly_gcd,
@@ -12,12 +16,14 @@ from nonproper.mpoly import (
     squarefree_part,
     sylvester_matrix,
 )
-from nonproper.orders import LEX
+from nonproper.orders import GREVLEX, LEX, block_order
 from nonproper.parser import parse_poly
 
-from conftest import mpolys, small_fractions
+from conftest import mpolys, small_fractions, small_nonzero
 
+X = Context(("x",))
 XY = Context(("x", "y"))
+UV = Context(("u", "v"))
 XYLEX = Context(("x", "y"), LEX)
 Y12 = Context(("y1", "y2"), LEX)
 
@@ -126,6 +132,28 @@ class TestCanonical:
     def test_zero_canonical(self):
         assert Y12.zero().canonical().is_zero()
 
+    @given(mpolys(), small_nonzero,
+           st.sampled_from([GREVLEX, LEX, block_order(("x", "y"), ["y"])]))
+    def test_canonical_contract(self, p, c, order):
+        """Checked in plain Fraction arithmetic, not through the kernels."""
+        k = p.canonical(order)
+        if p.is_zero():
+            assert k.is_zero()
+            return
+        # a scalar multiple of p
+        ratios = {k.terms[m] / v for m, v in p.terms.items()}
+        assert set(k.terms) == set(p.terms) and len(ratios) == 1
+        # coprime integers
+        assert all(v.denominator == 1 for v in k.terms.values())
+        assert math.gcd(*(v.numerator for v in k.terms.values())) == 1
+        # positive leading coefficient under the given order
+        assert k.terms[max(k.terms, key=order.key)] > 0
+        # blind to rational scalars of either sign, and idempotent
+        for s in (c, -c):
+            scaled = MPoly(p.ctx, {m: s * v for m, v in p.terms.items()})
+            assert scaled.canonical(order) == k
+        assert k.canonical(order) == k
+
 
 class TestDivisionGcd:
     def test_exact_div(self):
@@ -230,3 +258,29 @@ class TestContextMoves:
         images = {"x": parse_poly("u + v", big), "y": parse_poly("u*v", big)}
         p = P("x^2 - y")
         assert p.subs(big, images) == parse_poly("(u + v)^2 - u*v", big)
+
+    def test_subs_constant_without_images(self):
+        assert parse_poly("3", X).subs(UV, {}) == UV.const(3)
+
+    def test_subs_zero_image(self):
+        assert parse_poly("x^2 + 1", X).subs(UV, {"x": UV.zero()}) == UV.one()
+
+    def test_subs_used_variable_needs_an_image(self):
+        with pytest.raises(PreconditionError, match="no substitution image"):
+            P("x + y").subs(UV, {"x": UV.var("u")})
+
+    def test_subs_image_in_another_context_rejected(self):
+        with pytest.raises(PreconditionError):
+            P("x + y").subs(UV, {"x": UV.var("u"), "y": P("y")})
+
+    def test_subs_unused_variable_needs_no_image(self):
+        assert P("x^2 + 3").subs(UV, {"x": UV.var("v")}) == parse_poly("v^2 + 3", UV)
+
+    @given(mpolys(), mpolys(), mpolys(names=("u", "v")), mpolys(names=("u", "v")),
+           small_fractions, small_fractions)
+    def test_subs_commutes_with_evaluation(self, p, q, fx, fy, a, b):
+        images = {"x": fx, "y": fy}
+        at = [a, b]
+        values = [fx.evaluate(at), fy.evaluate(at)]
+        assert p.subs(UV, images).evaluate(at) == p.evaluate(values)
+        assert (p * q).subs(UV, images).evaluate(at) == p.evaluate(values) * q.evaluate(values)
