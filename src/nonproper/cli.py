@@ -5,7 +5,8 @@ The machine-readable JSON report goes to stdout; a short human-readable
 rendering goes to stderr (silence it with --quiet).  Each command takes
 only the flags it reads (``COMMANDS``); any other flag is a usage error.
 Exit codes: 0 success, 1 internal error, 2 parse or usage error, 3
-precondition violation, 4 search failure, 5 verification failure.
+precondition violation, 4 search failure, 5 verification failure, 6 work
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .curves import (
     leading_behavior,
 )
 from .errors import (
+    BudgetError,
     NonproperError,
     ParseError,
     PreconditionError,
@@ -51,6 +53,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SEARCH = 4
 EXIT_VERIFY = 5
+EXIT_BUDGET = 6
 
 
 def _say(args, *lines):
@@ -405,6 +408,9 @@ def main(argv=None):
     except VerificationError as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_VERIFY
+    except BudgetError as e:
+        print(f"budget exhausted: {e}", file=sys.stderr)
+        return EXIT_BUDGET
     except NonproperError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -11,6 +11,17 @@ composition of a polynomial with term-dict coordinates, here keyed by
 (t power, *exponents of the unknowns), with int values unless a base point
 is not integral.  The ansatz equations are the t^k coefficients
 (``ansatz_system``) and ``substitute_curve`` is the case with no unknowns.
+
+The exact work of the search and of the minimality proof runs on int term
+dicts, like the Groebner kernel: the line test, the integer-primitive
+ansatz equations, the back-substitution over the lex basis (each node
+evaluates int rows, scaled by one positive factor) and the nilpotence
+proof (squaring and reduction of int remainders, divided by their
+content).  A positive scale changes no zero, degree or rational root, so
+the search visits the same nodes and the proof decides the same way as in
+``Fraction`` arithmetic.  What is claimed is still checked in ``Fraction``:
+``verify_curve`` composes each generator with the found curve, and
+``verify_curve_pointwise`` evaluates them at rational parameters.
 """
 
 from __future__ import annotations
@@ -19,9 +30,18 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import PreconditionError
-from .groebner import Ideal, buchberger, eliminate
-from .mpoly import Context, MPoly, expand_along, resultant
+from .errors import BudgetError, PreconditionError
+from .groebner import Ideal, _reduce, buchberger, eliminate
+from .mpoly import (
+    Context,
+    MPoly,
+    _clear_denominators,
+    _lead,
+    _primitive,
+    _tmul,
+    expand_along,
+    resultant,
+)
 from .orders import GREVLEX, LEX
 from .unipoly import (
     Q,
@@ -30,7 +50,6 @@ from .unipoly import (
     udeg,
     uderiv,
     udivmod,
-    ueval,
     umonic,
     umul,
     upow,
@@ -199,6 +218,10 @@ def ansatz_system(variety, a, d):
     grid = tuple(tuple(f"b{i + 1}_{j}" for j in range(1, d + 1)) for i in range(m))
     n = m * d
     bctx = Context(tuple(nm for row in grid for nm in row), GREVLEX)
+    neg_key = bctx.order.neg_key
+    # with an integral base point and generators every expansion is an int dict
+    integral = all(x.denominator == 1 for x in a) and all(
+        c.denominator == 1 for g in variety.generators for c in g.terms.values())
     # coordinate i is a_i + sum_j b{i}_{j} t^j; unknown (i, j) has index i*d + j - 1
     coords = []
     for i in range(m):
@@ -215,7 +238,8 @@ def ansatz_system(variety, a, d):
         if 0 in by_power:
             raise AssertionError("constant term must vanish for a base point on the variety")
         for k in sorted(by_power):
-            e = MPoly(bctx, by_power[k]).canonical()
+            terms = by_power[k] if integral else _clear_denominators(by_power[k])[1]
+            e = MPoly(bctx, _primitive(min(terms, key=neg_key), terms)[2])
             if e not in seen:  # MPoly hashes and compares by its term set
                 seen.add(e)
                 eqs.append(e)
@@ -308,9 +332,31 @@ def verify_curve_pointwise(variety, curve):
 # -- curve search -------------------------------------------------------------------
 
 
+# _rational_roots takes at most this many trial divisions, and then tries at
+# most this many divisor pairs (p, q); the corpus and benchmark problems need
+# at most a dozen of each
+_ROOT_SEARCH_BUDGET = 10 ** 6
+
+
+def _vanishes_at(ints, p, q):
+    """True iff the int coefficient list vanishes at p/q, q > 0: by Horner,
+    q^n f(p/q) = sum_i c_i p^i q^(n-i)."""
+    acc = 0
+    qk = 1
+    for c in reversed(ints):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc == 0
+
+
 def _rational_roots(cs):
-    """All rational roots of a nonzero rational coefficient list."""
-    cs = utrim(list(cs))
+    """All rational roots of a nonzero list of int or Fraction
+    coefficients, in increasing order.  The candidates p/q pair the
+    divisors of the constant and leading coefficients of the primitive
+    integer list; BudgetError when finding those divisors would take more
+    than _ROOT_SEARCH_BUDGET trial divisions, or when there are more than
+    _ROOT_SEARCH_BUDGET divisor pairs to try."""
+    cs = utrim(cs)
     if udeg(cs) <= 0:
         return []
     roots = [Q(0)] if cs[0] == 0 else []
@@ -323,27 +369,34 @@ def _rational_roots(cs):
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
     a0, an = abs(ints[0]), abs(ints[-1])
+    if math.isqrt(a0) + math.isqrt(an) > _ROOT_SEARCH_BUDGET:
+        raise BudgetError(
+            f"the rational roots of a degree-{len(ints) - 1} constraint with "
+            f"{max(a0, an).bit_length()}-bit coefficients need more than "
+            f"{_ROOT_SEARCH_BUDGET} trial divisions"
+        )
 
     def divisors(v):
         out = set()
-        for i in range(1, int(v ** 0.5) + 1):
+        for i in range(1, math.isqrt(v) + 1):
             if v % i == 0:
                 out.add(i)
                 out.add(v // i)
         return sorted(out)
 
-    # p/q in lowest terms is a root iff q^n f(p/q) = sum_i c_i p^i q^(n-i) = 0
-    ps = divisors(a0)
-    for q in divisors(an):
-        qpow = [q ** k for k in range(len(ints))]
+    ps, qs = divisors(a0), divisors(an)
+    if len(ps) * len(qs) > _ROOT_SEARCH_BUDGET:
+        raise BudgetError(
+            f"the rational roots of a degree-{len(ints) - 1} constraint need "
+            f"{len(ps) * len(qs)} divisor pairs, more than {_ROOT_SEARCH_BUDGET}"
+        )
+    # p/q in lowest terms is a root iff q^n f(p/q) = 0
+    for q in qs:
         for p in ps:
             if math.gcd(p, q) > 1:
                 continue
             for sp in (p, -p):
-                acc = 0
-                for c, qp in zip(reversed(ints), qpow):
-                    acc = acc * sp + c * qp
-                if acc == 0:
+                if _vanishes_at(ints, sp, q):
                     roots.append(Q(sp, q))
     roots.sort()
     return roots
@@ -356,23 +409,65 @@ _NODE_BUDGET = 4000
 _MAX_SOLUTIONS = 60
 
 
+def _power_table(v, top):
+    """[p^k * q^(top-k) for k = 0..top] for the rational v = p/q in lowest
+    terms, q > 0."""
+    p, q = v.numerator, v.denominator
+    return [p ** k * q ** (top - k) for k in range(top + 1)]
+
+
+def _int_rows(terms, pos):
+    """An int term dict as a polynomial in unknown ``pos``: row e lists the
+    (monomial with exponent 0 at pos, coefficient) pairs of its terms of
+    degree e in that unknown, like ``MPoly.coeffs_in``."""
+    rows = [[] for _ in range(1 + max(m[pos] for m in terms))]
+    for m, c in terms.items():
+        rows[m[pos]].append((m[:pos] + (0,) + m[pos + 1:], c))
+    return rows
+
+
+def _row_value(row, tables):
+    """The value of (monomial, int coefficient) pairs at a rational point,
+    times the positive scale prod_j q_j^top_j, where tables[j] is
+    ``_power_table(p_j/q_j, top_j)`` and top_j bounds every exponent of
+    unknown j."""
+    total = 0
+    for m, c in row:
+        for tab, e in zip(tables, m):
+            c *= tab[e]
+        total += c
+    return total
+
+
 def _ansatz_solutions(system):
     """Enumerate exact rational points on the ansatz ideal by triangular
     back-substitution over a lex basis, trying small rational values on
     free coefficients (then random ones from a fixed-seed generator).
-    Best-effort by design: silence does not prove emptiness."""
-    bctx = system.bctx
+    Best-effort by design: silence does not prove emptiness.
+
+    Each basis element becomes int rows once, one row per power of its
+    first-named unknown.  A node evaluates the rows at the assignment,
+    unassigned unknowns at 0, as ints scaled by one positive factor
+    (``_row_value``), so each coefficient list has the zeros, the degree
+    and the rational roots of its exact value, and the search takes the
+    same steps as over ``Fraction``."""
     basis = buchberger(list(system.ideal.generators), LEX)
     if len(basis) == 1 and basis[0].constant_value() is not None:
         return
-    names = list(bctx.names)
-    # per unknown, the coeffs_in lists of the basis elements whose largest
+    names = list(system.bctx.names)
+    n = len(names)
+    gens = [_clear_denominators(g.terms)[1] for g in system.ideal.generators]
+    lex = [_clear_denominators(g.terms)[1] for g in basis]
+    monos = [m for t in gens + lex for m in t]
+    tops = [max([m[j] for m in monos], default=0) for j in range(n)]
+    # per unknown, the rows of the basis elements whose largest
     # (first-named) variable it is: the constraints on it once the later
     # unknowns are assigned
     relevant = [[] for _ in names]
-    for g in basis:
-        pos = min(i for mono in g.terms for i, e in enumerate(mono) if e)
-        relevant[pos].append(g.coeffs_in(names[pos]))
+    for t in lex:
+        pos = min(i for mono in t for i, e in enumerate(mono) if e)
+        relevant[pos].append(_int_rows(t, pos))
+    tables = [_power_table(0, top) for top in tops]
     rng = random.Random(0)
     budget = [_NODE_BUDGET]
     yielded = [0]
@@ -389,37 +484,33 @@ def _ansatz_solutions(system):
             return
         budget[0] -= 1
         if pos < 0:
-            point = [assign[n] for n in names]
-            if all(g.evaluate(point) == 0 for g in system.ideal.generators):
+            if all(_row_value(t.items(), tables) == 0 for t in gens):
                 yielded[0] += 1
                 yield dict(assign)
             return
-        name = names[pos]
-        point = [assign.get(n, 0) for n in names]
         constraints = []
-        contradiction = False
-        for coeffs in relevant[pos]:
-            cs = utrim([coeff.evaluate(point) for coeff in coeffs])
+        for rows in relevant[pos]:
+            cs = utrim([_row_value(row, tables) for row in rows])
             if not cs:
                 continue
-            if udeg(cs) == 0:
-                contradiction = True
-                break
+            if len(cs) == 1:  # a nonzero constant: no value of this unknown works
+                return
             constraints.append(cs)
-        if contradiction:
-            return
         if constraints:
             values = [r for r in _rational_roots(constraints[0])
-                      if all(ueval(k, r) == 0 for k in constraints[1:])]
+                      if all(_vanishes_at(k, r.numerator, r.denominator) for k in constraints[1:])]
         else:
             values = candidates()
+        name, unset = names[pos], tables[pos]
         for v in values:
             assign[name] = v
+            tables[pos] = _power_table(v, tops[pos])
             yield from rec(pos - 1, assign)
             del assign[name]
+        tables[pos] = unset
 
     try:
-        yield from rec(len(names) - 1, {})
+        yield from rec(n - 1, {})
     finally:
         del rec  # rec's closure holds rec: break the cycle, so its tables go with the search
 
@@ -442,13 +533,14 @@ def _pattern_candidates(coordinates, a, d):
 
 
 def _line_coordinates(variety, a):
-    """The coordinates i whose line a + s*e_i lies inside the variety."""
+    """The coordinates i whose line a + s*e_i lies inside the variety: each
+    generator expands to zero along it, on term dicts keyed by (s power,)."""
+    base = [{(0,): x.numerator if x.denominator == 1 else x} if x else {} for x in a]
     out = []
     for i in range(len(a)):
-        coords = [[x] for x in a]
-        coords[i] = [a[i], Q(1)]
-        line = ParametricCurve.from_coordinates(coords)
-        if all(substitute_curve(g, line).is_zero() for g in variety.generators):
+        coords = list(base)
+        coords[i] = {**base[i], (1,): 1}
+        if not any(expand_along(g, coords, 1) for g in variety.generators):
             out.append(i)
     return out
 
@@ -526,7 +618,13 @@ def no_smaller_curve(variety, a, d):
     standard monomials.  An unknown is nilpotent iff its D-th power is
     in I, which repeated squaring of normal forms decides exactly.  The
     zero ideal (every coefficient vector is a curve) gives False, the
-    unit ideal True."""
+    unit ideal True.
+
+    The squaring runs on int term dicts: ``_tmul`` squares, ``_reduce``
+    reduces against the lead triples of the grevlex basis, and each
+    remainder is divided by its content.  So each remainder is a positive
+    multiple of the exact normal form, and a positive scale does not
+    change whether it is zero."""
     if d <= 1:
         raise PreconditionError("no_smaller_curve needs d >= 2 (degree d-1 curves exist only for d-1 >= 1)")
     system = ansatz_system(variety, a, d - 1)
@@ -542,11 +640,13 @@ def no_smaller_curve(variety, a, d):
     if not all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(n)):
         return False
     D = _standard_monomial_count(lms, n)
-    for nm in bctx.names:
-        r = system.ideal.normal_form(bctx.var(nm))
+    lead = [_lead(g, order) for g in basis]
+    for i in range(n):
+        r = _reduce({(0,) * i + (1,) + (0,) * (n - i - 1): 1}, lead, order)[0]
         power = 1
         while power < D and r:
-            r = system.ideal.normal_form(r * r)
+            r = _primitive(next(iter(r)), r)[2]
+            r = _reduce(_tmul(r, r), lead, order)[0]
             power *= 2
         if r:
             return False

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: ParseError -> 2, PreconditionError -> 3,
-SearchError -> 4, VerificationError -> 5.
+SearchError -> 4, VerificationError -> 5, BudgetError -> 6.
 """
 
 
@@ -38,3 +38,11 @@ class SearchError(NonproperError):
 
 class VerificationError(NonproperError):
     """An exact back-verification failed or could not be completed."""
+
+
+class BudgetError(NonproperError):
+    """A fixed work budget ran out before an exact computation finished.
+
+    Raised instead of running on for hours, for example when the rational
+    roots of a constraint would need the divisors of a 400-digit integer.
+    """

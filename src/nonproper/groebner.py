@@ -115,7 +115,7 @@ def _remainder(p, lead, order):
     """``reduce_poly`` against the (lm, lc, terms) triples of the basis."""
     if not lead:
         return p
-    den, terms = _clear_denominators(p)
+    den, terms = _clear_denominators(p.terms)
     r, scale = _reduce(terms, lead, order)
     den *= scale
     return MPoly(p.ctx, {m: Fraction(c, den) for m, c in r.items()})

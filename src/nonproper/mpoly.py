@@ -75,10 +75,11 @@ def expand_along(p, coords, width):
     return {k: v for k, v in total.items() if v}
 
 
-def _clear_denominators(p):
-    """(D, int term dict of D*p) with D the lcm of p's denominators."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+def _clear_denominators(terms):
+    """(D, D*terms) for a term dict with int or Fraction values, D the lcm
+    of their denominators; D*terms has int values."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
 
 
 def _primitive(lm, terms):
@@ -94,7 +95,7 @@ def _primitive(lm, terms):
 
 def _lead(p, order):
     """The integer-primitive triple of a nonzero MPoly."""
-    return _primitive(p.leading_monomial(order), _clear_denominators(p)[1])
+    return _primitive(p.leading_monomial(order), _clear_denominators(p.terms)[1])
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def _image_kernel(f, mode):
         raise PreconditionError(f"unknown image_curve mode {mode!r}")
     comps = []
     for comp in f.components:
-        den, nums = _clear_denominators(comp)
+        den, nums = _clear_denominators(comp.terms)
         terms = [(tuple((v, e) for v, e in enumerate(mono) if e), a,
                   sum(e for e, w in zip(mono, weight) if w), sum(mono))
                  for mono, a in nums.items()]

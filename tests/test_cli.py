@@ -278,6 +278,18 @@ class TestExitTaxonomy:
         assert code == 5
         assert report["result"]["runs"][0]["status"] == "diverged"
 
+    def test_exhausted_root_budget_is_6(self, capsys, tmp_path):
+        # the divisor bound int(v ** 0.5) overflowed on the 10^400 coefficient (exit 1)
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "domain_equations": ["10^400*y - x^2"],
+            "degree": 2, "samples": [["0", "0"]],
+        })
+        code, report, err = run_cli(capsys, "certify", path, "--quiet")
+        assert code == 6
+        assert report is None
+        assert err.startswith("budget exhausted: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unexpected_exception_is_1(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("engine bug")

@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonproper.curves import (
+    _FREE_CANDIDATES,
+    _MAX_SOLUTIONS,
+    _NODE_BUDGET,
     ParametricCurve,
+    _ansatz_solutions,
+    _int_rows,
+    _power_table,
     _rational_roots,
+    _row_value,
+    _standard_monomial_count,
     ansatz_system,
     certify,
     common_inner,
@@ -25,11 +33,12 @@ from nonproper.curves import (
     verify_curve,
     verify_curve_pointwise,
 )
-from nonproper.errors import PreconditionError
-from nonproper.groebner import Ideal, vanishes_on
-from nonproper.mpoly import Context
+from nonproper.errors import BudgetError, PreconditionError
+from nonproper.groebner import Ideal, buchberger, vanishes_on
+from nonproper.mpoly import Context, MPoly, _lead
 from nonproper.orders import LEX
 from nonproper.parser import parse_poly
+from nonproper.unipoly import ueval
 
 from conftest import mpolys, small_fractions, small_nonzero
 from sampling import images_mutually_close
@@ -206,6 +215,38 @@ class TestRationalRoots:
         assert _rational_roots([Q(0), Q(0), Q(-1), Q(0), Q(4)]) == [Q(-1, 2), 0, Q(1, 2)]
         assert _rational_roots([Q(3), Q(-2), Q(-3), Q(2)]) == [-1, 1, Q(3, 2)]
         assert _rational_roots([Q(1), Q(0), Q(1)]) == []
+        assert _rational_roots([-6, 1, 1]) == [-3, 2]  # int lists, as the ansatz search passes
+
+    def test_search_past_the_budget_raises(self):
+        # int(v ** 0.5) overflowed here; the divisor search would take 10^200 steps
+        with pytest.raises(BudgetError, match="1329-bit"):
+            _rational_roots([-10 ** 400, 0, 1])
+        # 735134400 has 1344 divisors: few trial divisions, but 1344^2 candidate pairs
+        with pytest.raises(BudgetError, match="divisor pairs"):
+            _rational_roots([735134400, 1, 735134400])
+
+
+class TestIntRows:
+    @given(st.data())
+    def test_rows_match_fraction_coefficients(self, data):
+        """Each int row is the exact value of the matching coeffs_in
+        coefficient times the product of q_j^top_j."""
+        ctx = Context(("b1", "b2", "b3", "b4"))
+        p = data.draw(mpolys(ctx=ctx, max_terms=5, max_exp=3).filter(bool))
+        terms = _lead(p, ctx.order)[2]  # integer-primitive, as the lex basis is
+        pos = data.draw(st.integers(min_value=0, max_value=3))
+        point = data.draw(st.lists(st.just(Q(0)) | small_fractions, min_size=4, max_size=4))
+        if data.draw(st.booleans()):  # the search's nodes: pos and the unknowns before it unassigned
+            point[:pos + 1] = [Q(0)] * (pos + 1)
+        tops = [max(m[j] for m in terms) + data.draw(st.integers(min_value=0, max_value=2))
+                for j in range(4)]
+        tables = [_power_table(v, top) for v, top in zip(point, tops)]
+        scale = math.prod(v.denominator ** top for v, top in zip(point, tops))
+        coeffs = MPoly(ctx, terms).coeffs_in(ctx.names[pos])
+        rows = _int_rows(terms, pos)
+        assert len(rows) == len(coeffs)
+        for row, coeff in zip(rows, coeffs):
+            assert _row_value(row, tables) == coeff.evaluate(point) * scale
 
 
 class TestVerifyCurve:
@@ -248,6 +289,113 @@ def rabinowitsch_no_smaller_curve(variety, a, d):
         for row in system.unknowns
         for nm in row
     )
+
+
+def fraction_ansatz_solutions(system):
+    """Reference back-substitution in Fraction arithmetic: each node
+    evaluates the coeffs_in coefficients of the lex basis with
+    MPoly.evaluate, unassigned unknowns at 0, finds roots with the
+    brute-force reference and checks the leaf on every generator."""
+    basis = buchberger(list(system.ideal.generators), LEX)
+    if len(basis) == 1 and basis[0].constant_value() is not None:
+        return
+    names = list(system.bctx.names)
+    relevant = [[] for _ in names]
+    for g in basis:
+        pos = min(i for mono in g.terms for i, e in enumerate(mono) if e)
+        relevant[pos].append(g.coeffs_in(names[pos]))
+    rng = random.Random(0)
+    budget = [_NODE_BUDGET]
+    yielded = [0]
+
+    def candidates():
+        yield from _FREE_CANDIDATES
+        for _ in range(12):
+            yield Q(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def rec(pos, assign):
+        if budget[0] <= 0 or yielded[0] >= _MAX_SOLUTIONS:
+            return
+        budget[0] -= 1
+        if pos < 0:
+            point = [assign[n] for n in names]
+            if all(g.evaluate(point) == 0 for g in system.ideal.generators):
+                yielded[0] += 1
+                yield dict(assign)
+            return
+        point = [assign.get(n, 0) for n in names]
+        constraints = []
+        for coeffs in relevant[pos]:
+            cs = [coeff.evaluate(point) for coeff in coeffs]
+            while cs and cs[-1] == 0:
+                cs.pop()
+            if len(cs) == 1:
+                return
+            if cs:
+                constraints.append(cs)
+        if constraints:
+            values = [r for r in fraction_rational_roots(constraints[0])
+                      if all(ueval(k, r) == 0 for k in constraints[1:])]
+        else:
+            values = candidates()
+        for v in values:
+            assign[names[pos]] = v
+            yield from rec(pos - 1, assign)
+            del assign[names[pos]]
+
+    yield from rec(len(names) - 1, {})
+
+
+def fraction_no_smaller_curve(variety, a, d):
+    """Reference nilpotence proof in Fraction arithmetic: the same grevlex
+    basis and standard-monomial count, with each unknown squared by MPoly
+    products and reduced by Ideal.normal_form."""
+    system = ansatz_system(variety, a, d - 1)
+    bctx = system.bctx
+    basis = system.ideal.groebner()
+    if not basis:
+        return False
+    if system.ideal.is_unit():
+        return True
+    lms = [g.leading_monomial(bctx.order) for g in basis]
+    n = bctx.arity
+    if not all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(n)):
+        return False
+    D = _standard_monomial_count(lms, n)
+    for nm in bctx.names:
+        r = system.ideal.normal_form(bctx.var(nm))
+        power = 1
+        while power < D and r:
+            r = system.ideal.normal_form(r * r)
+            power *= 2
+        if r:
+            return False
+    return True
+
+
+# (variety, base point, degree): twist components y1 - c*y2^d at integral
+# samples (c*s^d, s) and one non-integral sample, and the line y1 - y2
+TWIST_SEARCH_CASES = [
+    *((V(f"y1 - {c}*y2^{d}"), (c * s ** d, s), d)
+      for d, c, s in [(2, 1, 0), (2, -2, 1), (2, 3, -2), (3, 1, 0), (3, -1, 1), (3, 2, -1),
+                      (4, 1, 0), (4, -3, 1)]),
+    (CUBIC, (Q(1, 8), Q(1, 2)), 3),
+    (V("y1 - y2"), (0, 0), 2),
+]
+
+
+class TestIntSearchMatchesFraction:
+    @pytest.mark.parametrize("variety, a, d", TWIST_SEARCH_CASES)
+    def test_same_solutions_in_the_same_order(self, variety, a, d):
+        system = ansatz_system(variety, a, d)
+        assert list(_ansatz_solutions(system)) == list(fraction_ansatz_solutions(system))
+
+    @pytest.mark.parametrize("variety, a, d", TWIST_SEARCH_CASES)
+    def test_same_minimality_answer(self, variety, a, d):
+        # the twist components need degree d; the line has lines, so the proof at d = 2 fails
+        expected = str(variety.generators[0]) != "y1 - y2"
+        assert no_smaller_curve(variety, a, d) is expected
+        assert fraction_no_smaller_curve(variety, a, d) is expected
 
 
 def first_pattern_curve(variety, a, d, mode="complex", inequalities=()):
