@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetError, PreconditionError
-from .groebner import Ideal, _reduce, buchberger, eliminate
+from .groebner import Ideal, _reduce, eliminate
 from .mpoly import (
     Context,
     MPoly,
@@ -178,12 +178,13 @@ class AnsatzSystem:
     """Coefficient equations for curves of bounded degree through a base
     point inside a variety.
 
-    The zero set of ``ideal`` in the unknown-coefficient context is the
-    set of coefficient vectors b with curve(a, b) inside the variety."""
+    The equations are the generators of ``ideal``, in the context
+    ``bctx`` of the unknown coefficients; their zero set is the set of
+    coefficient vectors b with curve(a, b) inside the variety, and the
+    ideal caches the bases the search (lex) and the proof (grevlex) read."""
 
     base: tuple
     bctx: Context
-    equations: tuple
     ideal: Ideal
     unknowns: tuple  # unknowns[i][j-1] = name of coefficient (i, j)
 
@@ -246,7 +247,6 @@ def ansatz_system(variety, a, d):
     return AnsatzSystem(
         base=a,
         bctx=bctx,
-        equations=tuple(eqs),
         ideal=Ideal(bctx, eqs),
         unknowns=grid,
     )
@@ -451,8 +451,8 @@ def _ansatz_solutions(system):
     (``_row_value``), so each coefficient list has the zeros, the degree
     and the rational roots of its exact value, and the search takes the
     same steps as over ``Fraction``."""
-    basis = buchberger(list(system.ideal.generators), LEX)
-    if len(basis) == 1 and basis[0].constant_value() is not None:
+    basis = system.ideal.groebner(LEX)
+    if basis == [system.bctx.one()]:  # the unit ideal
         return
     names = list(system.bctx.names)
     n = len(names)
@@ -635,12 +635,12 @@ def no_smaller_curve(variety, a, d):
         return False
     if system.ideal.is_unit():
         return True
-    lms = [g.leading_monomial(order) for g in basis]
+    lead = [_lead(g, order) for g in basis]
+    lms = [lm for lm, _, _ in lead]
     n = bctx.arity
     if not all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(n)):
         return False
     D = _standard_monomial_count(lms, n)
-    lead = [_lead(g, order) for g in basis]
     for i in range(n):
         r = _reduce({(0,) * i + (1,) + (0,) * (n - i - 1): 1}, lead, order)[0]
         power = 1
@@ -866,8 +866,7 @@ class OneParamAction:
 
     ctx: Context  # source variables
     g_name: str
-    action_ctx: Context  # (g, source variables)
-    components: tuple
+    components: tuple  # in action_ctx
     domain: Ideal = None
 
     def __post_init__(self):
@@ -879,6 +878,11 @@ class OneParamAction:
             if p.ctx.names != self.action_ctx.names:
                 raise PreconditionError("action component context mismatch")
         self._check_axioms()
+
+    @property
+    def action_ctx(self):
+        """The (g, source variables) context of the components."""
+        return Context((self.g_name,) + self.ctx.names, GREVLEX)
 
     def _check_axioms(self):
         act = self.action_ctx
@@ -911,15 +915,6 @@ class OneParamAction:
 
     def degree_in_parameter(self):
         return max(p.degree_in(self.g_name) for p in self.components)
-
-
-def one_param_action(ctx, g_name, component_texts_or_polys, domain=None):
-    """Convenience constructor: components given in the (g, x) context."""
-    action_ctx = Context((g_name,) + ctx.names, GREVLEX)
-    comps = []
-    for p in component_texts_or_polys:
-        comps.append(p.rebase(action_ctx) if p.ctx.names != action_ctx.names else p)
-    return OneParamAction(ctx, g_name, action_ctx, tuple(comps), domain)
 
 
 def fixed_locus(action):

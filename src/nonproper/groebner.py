@@ -32,11 +32,12 @@ candidates for k are the intersection of two such sets.  Reduction takes
 the next term from a heap keyed by the order's negated key
 (``neg_key``, a flat int tuple), built once, when the monomial enters.
 
-Ideals are immutable; the reduced basis per order tag is cached
-write-once, and so are the lead triples ``normal_form`` reduces against,
-built from that basis on the first normal form under the tag (an ideal
-that never takes one builds none).  Recomputation is idempotent, so
-concurrent readers are safe.
+``Ideal`` is the one door to a basis.  An ideal is immutable and keeps
+one cache, the reduced basis per order tag, written once; recomputation
+is idempotent, so concurrent readers are safe.  The unit ideal is the one
+whose reduced basis is [1] (``Ideal.is_unit``), and a normal form is
+``reduce_poly`` against the cached basis.  Only ``eliminate`` also calls
+``buchberger``: its generators are the reduced lex basis by definition.
 """
 
 from __future__ import annotations
@@ -111,21 +112,16 @@ def _reduce(terms, lead, order):
     return remainder, scale
 
 
-def _remainder(p, lead, order):
-    """``reduce_poly`` against the (lm, lc, terms) triples of the basis."""
-    if not lead:
-        return p
-    den, terms = _clear_denominators(p.terms)
-    r, scale = _reduce(terms, lead, order)
-    den *= scale
-    return MPoly(p.ctx, {m: Fraction(c, den) for m, c in r.items()})
-
-
 def reduce_poly(p, basis, order):
     """Full remainder of multivariate division of p by a list of
     polynomials: no remainder term is divisible by any basis leading
     monomial."""
-    return _remainder(p, [_lead(b, order) for b in basis], order)
+    if not basis:
+        return p
+    den, terms = _clear_denominators(p.terms)
+    r, scale = _reduce(terms, [_lead(b, order) for b in basis], order)
+    den *= scale
+    return MPoly(p.ctx, {m: Fraction(c, den) for m, c in r.items()})
 
 
 def _spoly_terms(f, g):
@@ -218,7 +214,7 @@ class Ideal:
     ``Ideal(ctx, [])`` is the zero ideal.
     """
 
-    __slots__ = ("ctx", "generators", "_bases", "_leads")
+    __slots__ = ("ctx", "generators", "_bases")
 
     def __init__(self, ctx, generators):
         generators = tuple(generators)
@@ -227,8 +223,7 @@ class Ideal:
                 raise PreconditionError("generator context mismatch")
         self.ctx = ctx
         self.generators = generators
-        self._bases = {}
-        self._leads = {}  # order tag -> lead triples of that basis, built on first normal_form
+        self._bases = {}  # order tag -> reduced basis
 
     def groebner(self, order=None):
         order = order or self.ctx.order
@@ -239,10 +234,7 @@ class Ideal:
 
     def normal_form(self, p, order=None):
         order = order or self.ctx.order
-        tag = order.tag
-        if tag not in self._leads:
-            self._leads[tag] = tuple(_lead(b, order) for b in self.groebner(order))
-        return _remainder(p, self._leads[tag], order)
+        return reduce_poly(p, self.groebner(order), order)
 
     def contains(self, p):
         return self.normal_form(p).is_zero()
@@ -251,8 +243,7 @@ class Ideal:
         return not self.groebner()
 
     def is_unit(self):
-        basis = self.groebner()
-        return len(basis) == 1 and basis[0].constant_value() is not None
+        return self.groebner() == [self.ctx.one()]
 
     def equals(self, other):
         if self.ctx.names != other.ctx.names:
@@ -308,8 +299,7 @@ def vanishes_on(p, I):
     big = Context(I.ctx.names + (fresh,))
     gens = [g.rebase(big) for g in I.generators]
     gens.append(big.one() - big.var(fresh) * p.rebase(big))
-    basis = buchberger(gens, big.order)
-    return len(basis) == 1 and basis[0].constant_value() is not None
+    return Ideal(big, gens).is_unit()
 
 
 def dimension(I):
@@ -318,10 +308,9 @@ def dimension(I):
     basis = I.groebner()
     if not basis:
         return I.ctx.arity
-    order = I.ctx.order
-    if len(basis) == 1 and basis[0].constant_value() is not None:
+    if I.is_unit():
         return -1
-    lms = [g.leading_monomial(order) for g in basis]
+    lms = [g.leading_monomial(I.ctx.order) for g in basis]
     n = I.ctx.arity
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):

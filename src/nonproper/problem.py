@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import ParametricCurve, one_param_action
+from .curves import OneParamAction, ParametricCurve
 from .errors import ParseError, PreconditionError
 from .groebner import Ideal
 from .mpoly import Context
@@ -116,8 +116,8 @@ class Problem:
         if not self.action:
             raise PreconditionError("this command needs an 'action' in the problem file")
         act_ctx = Context((self.action_param,) + self.ctx.names, GREVLEX)
-        comps = [parse_poly(t, act_ctx) for t in self.action]
-        return one_param_action(self.ctx, self.action_param, comps, self.domain_ideal())
+        comps = tuple(parse_poly(t, act_ctx) for t in self.action)
+        return OneParamAction(self.ctx, self.action_param, comps, self.domain_ideal())
 
     def curve_object(self):
         if not self.curve:

@@ -156,7 +156,7 @@ def _min_poly(elim, name):
             f"map is not generically finite: coordinate {name!r} is not "
             "algebraic over the image"
         )
-    return squarefree_part(_lowest_in(candidates, name), name).canonical()
+    return squarefree_part(_lowest_in(candidates, name), name)
 
 
 def coordinate_min_poly(f: PolyMap, j) -> MPoly:
@@ -246,7 +246,7 @@ def sf_compute(f: PolyMap) -> SfResult:
     for name, elim in zip(f.ctx.names, elims):
         phi = _min_poly(elim, name)
         nj = phi.degree_in(name)
-        lead = squarefree_full(phi.coeffs_in(name)[nj].rebase(yctx)).canonical()
+        lead = squarefree_full(phi.coeffs_in(name)[nj].rebase(yctx))
         coords.append(CoordinateData(name, phi, lead, nj))
     components = _assemble_components(J, [cd.lead_coeff for cd in coords])
     dim_image = dimension(J)
@@ -365,5 +365,5 @@ def sf_components_resultant(f: PolyMap):
     for j, name in enumerate(f.ctx.names):
         phi = coordinate_min_poly_resultant(f, j)
         lead = phi.coeffs_in(name)[phi.degree_in(name)].rebase(yctx)
-        leads.append(squarefree_full(lead).canonical())
+        leads.append(squarefree_full(lead))
     return _assemble_components(J, leads)

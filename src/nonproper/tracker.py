@@ -275,7 +275,6 @@ class LimitTrace:
     """Everything a tracking run produced, exact and floating."""
 
     target: tuple
-    path: PathSpec
     steps: tuple
     diffs: tuple  # consecutive sup-norm differences after phase alignment
     status: str  # converged | diverged | constant-curve-hit
@@ -366,7 +365,6 @@ def track(f, target, path, tol=1e-8):
     lambdas = tuple(s.lam for s in steps if s.in_regime)
     return LimitTrace(
         target=target,
-        path=path,
         steps=tuple(steps),
         diffs=tuple(diffs),
         status=status,

@@ -12,6 +12,7 @@ import pytest
 
 from nonproper.cli import main as cli_main
 from nonproper.curves import (
+    OneParamAction,
     ParametricCurve,
     certify,
     common_inner,
@@ -21,7 +22,6 @@ from nonproper.curves import (
     decompose,
     fixed_locus,
     no_smaller_curve,
-    one_param_action,
     substitute_curve,
     verify_curve,
 )
@@ -308,18 +308,18 @@ def test_criterion_10_fixed_loci(capsys):
     details = []
     act_ctx2 = Context(("g", "x1", "x2"))
     act_ctxy = Context(("g", "x", "y"))
-    shear = one_param_action(C2, "g", [parse_poly("x1", act_ctx2),
-                                       parse_poly("x2 + g*x1", act_ctx2)])
+    shear = OneParamAction(C2, "g", (parse_poly("x1", act_ctx2),
+                                     parse_poly("x2 + g*x1", act_ctx2)))
     if [str(p) for p in fixed_locus(shear).canonical_generators()] != ["x1"]:
         ok = False
         details.append("shear")
-    translation = one_param_action(C2, "g", [parse_poly("x1 + g", act_ctx2),
-                                             parse_poly("x2 + g", act_ctx2)])
+    translation = OneParamAction(C2, "g", (parse_poly("x1 + g", act_ctx2),
+                                           parse_poly("x2 + g", act_ctx2)))
     if not fixed_locus(translation).is_unit():
         ok = False
         details.append("translation")
-    parabolic = one_param_action(CXY, "g", [parse_poly("x + g*y^2", act_ctxy),
-                                            parse_poly("y", act_ctxy)])
+    parabolic = OneParamAction(CXY, "g", (parse_poly("x + g*y^2", act_ctxy),
+                                          parse_poly("y", act_ctxy)))
     if [str(p) for p in fixed_locus(parabolic).canonical_generators()] != ["y^2"]:
         ok = False
         details.append("parabolic")

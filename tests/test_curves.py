@@ -10,6 +10,7 @@ from nonproper.curves import (
     _FREE_CANDIDATES,
     _MAX_SOLUTIONS,
     _NODE_BUDGET,
+    OneParamAction,
     ParametricCurve,
     _ansatz_solutions,
     _int_rows,
@@ -28,7 +29,6 @@ from nonproper.curves import (
     fixed_locus,
     is_unbounded,
     no_smaller_curve,
-    one_param_action,
     substitute_curve,
     verify_curve,
     verify_curve_pointwise,
@@ -136,7 +136,7 @@ class TestSubstituteCurve:
 class TestAnsatz:
     def test_axis_line(self):
         sysm = ansatz_system(AXIS, (0, 5), 1)
-        assert [str(e) for e in sysm.equations] == ["b1_1"]
+        assert [str(e) for e in sysm.ideal.generators] == ["b1_1"]
 
     def test_parabola_hand_expansion(self):
         sysm = ansatz_system(PARABOLA, (4, 2), 2)
@@ -145,11 +145,11 @@ class TestAnsatz:
             str(parse_poly(t, bctx).canonical())
             for t in ("b1_1 - 4*b2_1", "b1_2 - b2_1^2 - 4*b2_2", "2*b2_1*b2_2", "b2_2^2")
         }
-        assert {str(e) for e in sysm.equations} == want
+        assert {str(e) for e in sysm.ideal.generators} == want
 
     def test_zero_ideal_allows_all_lines(self):
         sysm = ansatz_system(FULL, (7, -1), 1)
-        assert sysm.equations == ()
+        assert sysm.ideal.generators == ()
         assert sysm.ideal.is_zero_ideal()
 
     def test_base_point_off_variety(self):
@@ -690,33 +690,33 @@ class TestFixedLocus:
     def test_shear(self):
         ctx = Context(("x1", "x2"))
         act_ctx = Context(("g", "x1", "x2"))
-        act = one_param_action(ctx, "g", [parse_poly("x1", act_ctx),
-                                          parse_poly("x2 + g*x1", act_ctx)])
+        act = OneParamAction(ctx, "g", (parse_poly("x1", act_ctx),
+                                        parse_poly("x2 + g*x1", act_ctx)))
         assert [str(p) for p in fixed_locus(act).canonical_generators()] == ["x1"]
 
     def test_translation_has_empty_locus(self):
         ctx = Context(("x1", "x2"))
         act_ctx = Context(("g", "x1", "x2"))
-        act = one_param_action(ctx, "g", [parse_poly("x1 + g", act_ctx),
-                                          parse_poly("x2 + g", act_ctx)])
+        act = OneParamAction(ctx, "g", (parse_poly("x1 + g", act_ctx),
+                                        parse_poly("x2 + g", act_ctx)))
         assert fixed_locus(act).is_unit()
 
     def test_parabolic(self):
         ctx = Context(("x", "y"))
         act_ctx = Context(("g", "x", "y"))
-        act = one_param_action(ctx, "g", [parse_poly("x + g*y^2", act_ctx),
-                                          parse_poly("y", act_ctx)])
+        act = OneParamAction(ctx, "g", (parse_poly("x + g*y^2", act_ctx),
+                                        parse_poly("y", act_ctx)))
         assert [str(p) for p in fixed_locus(act).canonical_generators()] == ["y^2"]
 
     def test_rejects_non_action(self):
         ctx = Context(("x", "y"))
         act_ctx = Context(("g", "x", "y"))
         with pytest.raises(PreconditionError, match="not a group action"):
-            one_param_action(ctx, "g", [parse_poly("x + g^2", act_ctx),
-                                        parse_poly("y", act_ctx)])
+            OneParamAction(ctx, "g", (parse_poly("x + g^2", act_ctx),
+                                      parse_poly("y", act_ctx)))
         with pytest.raises(PreconditionError, match="not a group action"):
-            one_param_action(ctx, "g", [parse_poly("x + g", act_ctx),
-                                        parse_poly("x", act_ctx)])
+            OneParamAction(ctx, "g", (parse_poly("x + g", act_ctx),
+                                      parse_poly("x", act_ctx)))
 
     @staticmethod
     def _orbit_is_constant(action, x0):
@@ -739,12 +739,12 @@ class TestFixedLocus:
         def rq(lo=-9, hi=9):
             return Q(rng.randint(lo, hi), rng.randint(1, 5))
 
-        shear = one_param_action(ctx2, "g", [parse_poly("x1", act2),
-                                             parse_poly("x2 + g*x1", act2)])
-        translation = one_param_action(ctx2, "g", [parse_poly("x1 + g", act2),
-                                                   parse_poly("x2 + g", act2)])
-        parabolic = one_param_action(ctxy, "g", [parse_poly("x + g*y^2", acty),
-                                                 parse_poly("y", acty)])
+        shear = OneParamAction(ctx2, "g", (parse_poly("x1", act2),
+                                           parse_poly("x2 + g*x1", act2)))
+        translation = OneParamAction(ctx2, "g", (parse_poly("x1 + g", act2),
+                                                 parse_poly("x2 + g", act2)))
+        parabolic = OneParamAction(ctxy, "g", (parse_poly("x + g*y^2", acty),
+                                               parse_poly("y", acty)))
         cases = [
             (shear, lambda: (Q(0), rq()), lambda: (Q(rng.randint(1, 9)), rq())),
             (translation, None, lambda: (rq(), rq())),

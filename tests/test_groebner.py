@@ -1,6 +1,8 @@
+import ast
 import heapq
 import sys
 from fractions import Fraction
+from pathlib import Path
 from operator import add, le, sub
 
 import pytest
@@ -451,3 +453,24 @@ class TestIntegerKernelOracle:
             r, scale = _reduce(s, lead, order)
             assert type(scale) is int and scale > 0
             assert all(type(c) is int for c in (*s.values(), *r.values()))
+
+
+def test_buchberger_is_called_only_by_ideal_and_eliminate():
+    """Ideal is the one door to a basis: in the package, buchberger is
+    read only by Ideal.groebner and by eliminate, whose generators are the
+    reduced lex basis by definition."""
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if name == "buchberger" and isinstance(getattr(child, "ctx", None), ast.Load):
+                users.add(".".join(scope))
+            visit(child, scope)
+
+    for path in Path(groebner.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    assert users == {"groebner.Ideal.groebner", "groebner.eliminate"}

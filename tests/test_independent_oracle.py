@@ -118,7 +118,7 @@ def test_ansatz_equations_match_reference_expansion(case):
     for gens in ([g], [g, -3 * g]):
         system = ansatz_system(Ideal(variety.ctx, gens), a, d)
         assert system.bctx.names == bctx.names
-        assert [e.terms for e in system.equations] == [e.terms for e in want]
+        assert [e.terms for e in system.ideal.generators] == [e.terms for e in want]
 
 
 @pytest.mark.parametrize("d", [3, 4])

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nonproper.errors import PreconditionError
@@ -202,6 +202,19 @@ class TestDivisionGcd:
     def test_squarefree_full_mixed(self):
         p = parse_poly("y1^2*y2^3", Y12)
         assert squarefree_full(p) == parse_poly("y1*y2", Y12)
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX])
+    @given(data=st.data())
+    def test_squarefree_output_is_canonical(self, order, data):
+        # properness uses both outputs as canonical forms without
+        # re-canonicalizing them
+        ctx = Context(("x", "y"), order)
+        polys = st.one_of(mpolys(ctx=ctx, max_terms=3), small_nonzero.map(ctx.const))
+        p, w = data.draw(polys), data.draw(polys)
+        p = p * w * w
+        assume(not p.is_zero())
+        for out in (squarefree_part(p, "x"), squarefree_full(p)):
+            assert out.canonical() == out
 
 
 class TestResultant:

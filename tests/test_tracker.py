@@ -515,7 +515,6 @@ class TestRationalizeVerify:
         step = StepRecord(k=2, lam=1.0, in_regime=True)
         trace = LimitTrace(
             target=(Q(0), Q(0)),
-            path=PathSpec.geometric(lambda k: (Q(1, k), Q(k)), "radial", 4),
             steps=(step,),
             diffs=(),
             status="converged",
@@ -533,7 +532,6 @@ class TestRationalizeVerify:
         step = StepRecord(k=2, lam=1.0, in_regime=True)
         trace = LimitTrace(
             target=(Q(0), Q(0)),
-            path=PathSpec.geometric(lambda k: (Q(1, k), Q(k)), "radial", 4),
             steps=(step,), diffs=(), status="converged",
             limit_estimate=None, lambdas=(1.0,), final_raw=const,
         )
