@@ -9,10 +9,13 @@ variables; the vanishing of its leading coefficient (restricted to the
 image closure) cuts out the components where that coordinate can escape
 to infinity.
 
-Exactness is guaranteed for dominant maps onto affine space (principal
-elimination ideals); for maps with a proper subvariety as image the
-leading-coefficient criterion is best-effort and is cross-checked by an
-independent resultant-based elimination and by the numeric tracker.
+Exactness is guaranteed for dominant maps on affine space.  There the
+graph ideal is prime (its quotient ring is Q[x]), so every coordinate
+elimination ideal is prime, principal or not, and each member of its
+reduced basis is irreducible.  For maps with a proper subvariety as
+image the leading-coefficient criterion is best-effort and is
+cross-checked by an independent resultant-based elimination and by the
+numeric tracker.
 """
 
 from __future__ import annotations
@@ -145,9 +148,19 @@ def _lowest_in(polys, name):
     return min(polys, key=lambda g: (g.degree_in(name), g.ctx.order.key(g.leading_monomial())))
 
 
-def _min_poly(elim, name):
+def _min_poly(f, elim, name):
     """The relation of coordinate_min_poly, taken from the coordinate's
-    elimination basis."""
+    elimination basis.
+
+    On affine space the lowest relation is returned as it is, because it
+    is already squarefree.  The elimination ideal I is prime, since the
+    graph ideal is.  Let g = u*v be a member of I's reduced basis with u
+    in I.  Some basis leading monomial divides lm(u), which divides
+    lm(g), and reducedness makes that member g itself, so v is a constant
+    (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 §7
+    and ch. 3 §1).  With domain equations the graph ideal need not be
+    prime, so the relation is cut to its squarefree part in the
+    coordinate."""
     candidates = _relations(elim, name)
     if not candidates:
         if elim.is_unit():
@@ -156,15 +169,21 @@ def _min_poly(elim, name):
             f"map is not generically finite: coordinate {name!r} is not "
             "algebraic over the image"
         )
-    return squarefree_part(_lowest_in(candidates, name), name)
+    phi = _lowest_in(candidates, name)
+    if f.domain_is_affine_space():
+        return phi
+    return squarefree_part(phi, name)
 
 
 def coordinate_min_poly(f: PolyMap, j) -> MPoly:
     """A nonzero relation between source coordinate j and the image
     variables, of minimal degree in that coordinate within the computed
     elimination basis; integer-primitive and squarefree in the
-    coordinate."""
-    return _min_poly(_coordinate_elimination(f, j), f.ctx.names[j])
+    coordinate.
+
+    On affine space no gcd is taken: the elimination ideal is prime, so
+    every member of its reduced basis is irreducible (``_min_poly``)."""
+    return _min_poly(f, _coordinate_elimination(f, j), f.ctx.names[j])
 
 
 @dataclass(frozen=True)
@@ -238,13 +257,20 @@ def sf_compute(f: PolyMap) -> SfResult:
     The image ideal J is read off the first coordinate's elimination basis
     (``_image_ideal``), so J costs no elimination of its own; it equals
     ``image_closure(f)``.
+
+    On affine space each relation is taken from its basis without a
+    squarefree gcd: the graph ideal is prime, so every reduced basis
+    member of an elimination ideal is irreducible (``_min_poly``).  Its
+    leading coefficient still goes through ``squarefree_full``, since an
+    irreducible relation can have a leading coefficient with repeated
+    factors (the criterion is Jelonek's, Ann. Polon. Math. 58, 1993).
     """
     yctx = f.image_context()
     elims = [_coordinate_elimination(f, j) for j in range(f.n)]
     J = _image_ideal(f, elims[0], f.ctx.names[0])
     coords = []
     for name, elim in zip(f.ctx.names, elims):
-        phi = _min_poly(elim, name)
+        phi = _min_poly(f, elim, name)
         nj = phi.degree_in(name)
         lead = squarefree_full(phi.coeffs_in(name)[nj].rebase(yctx))
         coords.append(CoordinateData(name, phi, lead, nj))

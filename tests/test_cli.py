@@ -83,6 +83,15 @@ class TestSf:
         ctx = Context(("y1", "y2"), GREVLEX)
         assert parse_poly(text, ctx) == parse_poly("y2^2 - y1", ctx)
 
+    def test_nonreduced_domain_keeps_the_squarefree_gcd(self, capsys):
+        """On the domain y^2 = 0 the graph ideal is not prime: the basis
+        relation of y is y^2, and only the squarefree gcd cuts it to y."""
+        code, report, _ = run_cli(capsys, "sf", str(PROBLEMS / "sf_nonreduced_domain.json"),
+                                  "--quiet")
+        assert code == 0
+        coord = {c["variable"]: c for c in report["result"]["coordinates"]}["y"]
+        assert (coord["min_poly"], coord["degree"]) == ("y", 1)
+
     def test_proper_map_exit_zero(self, capsys, tmp_path):
         path = write_problem(tmp_path, {
             "format": 1, "vars": ["x1", "x2"], "map": ["x1", "x2"],

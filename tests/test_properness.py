@@ -1,19 +1,23 @@
 import importlib.util
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonproper.corpus import CORPUS
 from nonproper.errors import PreconditionError
 from nonproper.groebner import Ideal, dimension, vanishes_on
-from nonproper.mpoly import Context
+from nonproper.mpoly import Context, MPoly, squarefree_part
 from nonproper.orders import LEX
 from nonproper.parser import parse_poly
 from nonproper.problem import problem_from_dict
 from nonproper.properness import (
     PolyMap,
     _coordinate_elimination,
+    _lowest_in,
     _relations,
     coordinate_min_poly,
     coordinate_min_poly_resultant,
@@ -320,3 +324,54 @@ def test_image_ideal_read_off_equals_image_closure():
     for label, f in cases:
         J = sf_compute(f).image_ideal
         assert J.canonical_generators() == image_closure(f).canonical_generators(), label
+
+
+@st.composite
+def affine_maps(draw):
+    """Maps on affine space in 2 or 3 variables with m = n or n + 1
+    components.  Each component is a nonconstant monomial plus, at times,
+    a second term, with coefficients in -3..3.  Monomials go up to degree
+    3 for m = n = 2 and up to degree 2 otherwise, where degree 3 can make
+    a single elimination run for minutes."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    m = n + draw(st.integers(min_value=0, max_value=1))
+    ctx = Context(("x1", "x2", "x3")[:n])
+    deg = 3 if m == n == 2 else 2
+    monos = [e for e in product(range(deg + 1), repeat=n) if sum(e) <= deg]  # monos[0] = 1
+    coeffs = st.integers(min_value=-3, max_value=3).filter(bool)
+    comps = []
+    for _ in range(m):
+        terms = {draw(st.sampled_from(monos[1:])): draw(coeffs)}
+        if draw(st.booleans()):
+            terms[draw(st.sampled_from(monos))] = draw(coeffs)
+        comps.append(MPoly(ctx, terms))
+    return PolyMap(ctx, tuple(comps))
+
+
+def test_reduced_basis_relations_are_squarefree_on_affine_space():
+    """On affine space the graph ideal is prime, so each member of a
+    coordinate elimination's reduced basis is irreducible and hence
+    squarefree in the coordinate; coordinate_min_poly, which takes no gcd
+    there, equals the squarefree part of the lowest basis relation.  A
+    draw that is not generically finite gives no verdict."""
+    counts = {"verdicts": 0, "relations": 0, "non_principal": 0}
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(affine_maps())
+    def check(f):
+        elims = [_coordinate_elimination(f, j) for j in range(f.n)]
+        relations = [_relations(e, name) for e, name in zip(elims, f.ctx.names)]
+        if not all(relations):
+            return
+        counts["verdicts"] += 1
+        for j, (elim, name, rels) in enumerate(zip(elims, f.ctx.names, relations)):
+            counts["non_principal"] += len(elim.generators) > 1
+            for g in rels:
+                counts["relations"] += 1
+                assert squarefree_part(g, name) == g
+            assert coordinate_min_poly(f, j) == squarefree_part(_lowest_in(rels, name), name)
+
+    check()
+    assert counts["verdicts"] >= 100
+    assert counts["relations"] >= 300
+    assert counts["non_principal"] >= 100
