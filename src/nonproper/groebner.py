@@ -240,7 +240,8 @@ class Ideal:
         return self.normal_form(p).is_zero()
 
     def is_zero_ideal(self):
-        return not self.groebner()
+        """True iff every generator is zero; no basis is computed."""
+        return all(g.is_zero() for g in self.generators)
 
     def is_unit(self):
         return self.groebner() == [self.ctx.one()]
