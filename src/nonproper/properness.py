@@ -152,15 +152,17 @@ def _min_poly(f, elim, name):
     """The relation of coordinate_min_poly, taken from the coordinate's
     elimination basis.
 
-    On affine space the lowest relation is returned as it is, because it
-    is already squarefree.  The elimination ideal I is prime, since the
-    graph ideal is.  Let g = u*v be a member of I's reduced basis with u
-    in I.  Some basis leading monomial divides lm(u), which divides
-    lm(g), and reducedness makes that member g itself, so v is a constant
+    On affine space the lowest relation is returned as it is.  The graph
+    ideal is prime there, so the elimination ideal I is prime too.  If a
+    member g of I's reduced basis factors as g = u*v, one factor, say u,
+    lies in I.  Some basis leading monomial divides lm(u), which divides
+    lm(g); reducedness makes that member g itself, so v is a constant
     (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 §7
-    and ch. 3 §1).  With domain equations the graph ideal need not be
-    prime, so the relation is cut to its squarefree part in the
-    coordinate."""
+    and ch. 3 §1).  An irreducible g is prime to its derivative in the
+    coordinate and the basis is canonical, so ``squarefree_part`` would
+    return g unchanged.  With domain equations the graph ideal need not
+    be prime (on y^2 = 0 the relation of y is y^2), so there the relation
+    is cut to its squarefree part in the coordinate."""
     candidates = _relations(elim, name)
     if not candidates:
         if elim.is_unit():
