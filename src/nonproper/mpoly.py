@@ -13,9 +13,11 @@ form ``_clear_denominators``, ``_primitive`` and ``_lead``.  ``MPoly``'s
 product, substitution and canonical form run on them, and so do the
 Groebner kernel (``groebner.py``, on int term dicts that are
 integer-primitive multiples of these polynomials) and the curve ansatz
-(``curves.py``).  The gcd's coprimality certificate (``mpoly_gcd``)
-evaluates univariate images as int lists mod the prime 2^31 - 1; its
-pseudo-remainder sequence makes each remainder integer-primitive.
+(``curves.py``).  The gcd (``mpoly_gcd``) and the resultant share one
+pseudo-remainder, ``_pseudo_rem``: the gcd's sequence makes each remainder
+integer-primitive, and the resultant's is the subresultant sequence.  The
+gcd's coprimality certificate evaluates univariate images as int lists mod
+the prime 2^31 - 1.
 
 Canonical form: an integer-primitive scalar multiple with positive leading
 coefficient under the active order.  Golden-value tests compare canonical
@@ -424,7 +426,7 @@ class MPoly:
         return f"MPoly({self.to_str()!r})"
 
 
-# -- exact division and gcd --------------------------------------------------
+# -- exact division; gcd and resultant on one pseudo-remainder ---------------
 
 
 def exact_div(p, q):
@@ -432,6 +434,9 @@ def exact_div(p, q):
     divide p."""
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    c = q.constant_value()
+    if c is not None:
+        return MPoly(p.ctx, {m: v / c for m, v in p.terms.items()})
     ctx = p.ctx
     order = ctx.order
     qlm = q.leading_monomial(order)
@@ -480,13 +485,17 @@ def _quotient(p, c):
 
 
 def _pseudo_rem(a, b, name):
-    """Pseudo-remainder of a by b with respect to one variable."""
+    """(r, e) with lc(b)^e * r the full pseudo-remainder
+    lc(b)^(deg a - deg b + 1) * a mod b in one variable, deg a >= deg b.
+    A step on a zero leading coefficient is skipped without scaling and
+    counted in e; the gcd reads r alone."""
     ctx = a.ctx
     ca = a.coeffs_in(name)
     cb = b.coeffs_in(name)
     da, db = len(ca) - 1, len(cb) - 1
     lb = cb[-1]
     r = list(ca)
+    e = da - db + 1
     for _ in range(da - db + 1):
         dr = len(r) - 1
         while r and r[-1].is_zero():
@@ -499,11 +508,12 @@ def _pseudo_rem(a, b, name):
         for j in range(db + 1):
             r[dr - db + j] = r[dr - db + j] - lr * cb[j]
         r.pop()
+        e -= 1
     while r and r[-1].is_zero():
         r.pop()
     if not r:
-        return ctx.zero()
-    return MPoly.from_coeffs_in(ctx, name, r)
+        return ctx.zero(), e
+    return MPoly.from_coeffs_in(ctx, name, r), e
 
 
 _P = 2**31 - 1  # the prime of the coprimality certificate
@@ -615,7 +625,7 @@ def mpoly_gcd(p, q):
     if a.degree_in(name) < b.degree_in(name):
         a, b = b, a
     while True:
-        r = _pseudo_rem(a, b, name)
+        r, _ = _pseudo_rem(a, b, name)
         if r.is_zero():
             return (c * b).canonical()  # b is primitive in v
         if r.degree_in(name) == 0:
@@ -644,70 +654,36 @@ def squarefree_full(p):
     return _quotient(p, mpoly_gcd(p, g)).canonical()
 
 
-# -- Sylvester resultants ------------------------------------------------------
-
-
-def sylvester_matrix(p, q, name):
-    """Sylvester matrix of p and q in one variable, q-block rows on top.
-
-    Row ordering fixes the sign of the determinant; ``resultant`` returns
-    the raw determinant of exactly this matrix.
-    """
-    n = p.degree_in(name)
-    m = q.degree_in(name)
-    if n == 0 or m == 0:
+def resultant(p, q, name):
+    """Res(q, p) = (-1)^(deg p * deg q) * Res(p, q) in one variable, the
+    Sylvester determinant with the rows of q on top; it vanishes at a
+    parameter point iff p and q share a root there (or both leading
+    coefficients vanish).  The subresultant PRS (Collins, JACM 14, 1967;
+    Brown & Traub, JACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7, without
+    content extraction) runs on the gcd's pseudo-remainder, each full
+    remainder divided exactly by g*h^delta.  No canonicalization is
+    applied, so value and sign are exact."""
+    a, b = q, p
+    da, db = a.degree_in(name), b.degree_in(name)
+    if da == 0 or db == 0:
         raise PreconditionError("resultant requires positive degree in the variable")
     ctx = p.ctx
-    pc = p.coeffs_in(name)
-    qc = q.coeffs_in(name)
-    size = n + m
-    zero = ctx.zero()
-    rows = []
-    for r in range(n):  # q-block: x^(n-1-r) * q
-        row = [zero] * size
-        for j in range(m + 1):
-            row[m + r - j] = qc[j]
-        rows.append(row)
-    for r in range(m):  # p-block: x^(m-1-r) * p
-        row = [zero] * size
-        for j in range(n + 1):
-            row[n + r - j] = pc[j]
-        rows.append(row)
-    return rows
-
-
-def det_mpoly(rows):
-    """Fraction-free Bareiss determinant of a square MPoly matrix."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    ctx = rows[0][0].ctx
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = ctx.one()
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero():
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return ctx.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = exact_div(M[i][j] * M[k][k] - M[i][k] * M[k][j], prev)
-            M[i][k] = ctx.zero()
-        prev = M[k][k]
-    d = M[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
-def resultant(p, q, name):
-    """Raw Sylvester determinant of p and q with respect to one variable.
-
-    Vanishes at a parameter point iff p and q share a root there (or both
-    leading coefficients vanish).  No canonicalization is applied, so the
-    sign is pinned by the matrix layout.
-    """
-    return det_mpoly(sylvester_matrix(p, q, name))
+    s = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        s = -1 if da % 2 and db % 2 else 1
+    g = h = ctx.one()
+    while db:
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r, e = _pseudo_rem(a, b, name)
+        if r.is_zero():
+            return ctx.zero()
+        lb = b.coeffs_in(name)[-1]
+        a, b = b, exact_div(r * lb ** e, g * h ** delta)
+        g = lb
+        if delta:
+            h = exact_div(g ** delta, h ** (delta - 1))
+        da, db = db, b.degree_in(name)
+    return exact_div(b ** da, h ** (da - 1)) * s

@@ -22,10 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .errors import PreconditionError
 from .groebner import Ideal, dimension, eliminate, vanishes_on
-from .mpoly import Context, MPoly, resultant, squarefree_full, squarefree_part
+from .mpoly import (
+    Context,
+    MPoly,
+    _content_in,
+    _quotient,
+    resultant,
+    squarefree_full,
+    squarefree_part,
+)
 from .orders import GREVLEX, LEX
 
 
@@ -366,9 +375,16 @@ def _eliminate_var_resultants(polys, name):
 
 
 def coordinate_min_poly_resultant(f: PolyMap, j) -> MPoly:
-    """Resultant-path analogue of coordinate_min_poly: iterated Sylvester
-    resultants eliminating the other source variables.  May carry
-    extraneous factors; used as an independent oracle."""
+    """Resultant-path analogue of coordinate_min_poly, used as an
+    independent oracle: iterated resultants eliminate the other source
+    variables, and the lowest result is cut to its squarefree part in x_j.
+
+    On affine space that part is divided by its content over Q[x_j].  x_j
+    is transcendental there, so the irreducible relation has no factor in
+    Q[x_j] alone, and the leading coefficient in x_j changes only by a
+    constant.  With domain equations x_j can be algebraic (on y^2 = 0 the
+    relation of y is y), so the content stays.  Extraneous factors remain
+    only with domain equations or n >= 3."""
     big = f.joined_context()
     polys = [g.rebase(big) for g in graph_ideal(f).generators]
     keep_name = f.ctx.names[j]
@@ -380,8 +396,11 @@ def coordinate_min_poly_resultant(f: PolyMap, j) -> MPoly:
         raise PreconditionError(
             f"resultant elimination found no relation for coordinate {keep_name!r}"
         )
+    phi = squarefree_part(_lowest_in(candidates, keep_name), keep_name)
+    if f.domain_is_affine_space():
+        phi = _quotient(phi, reduce(_content_in, f.image_names, phi))
     sub = Context(tuple([keep_name]) + f.image_names, LEX)
-    return squarefree_part(_lowest_in(candidates, keep_name), keep_name).rebase(sub).canonical()
+    return phi.rebase(sub).canonical()
 
 
 def sf_components_resultant(f: PolyMap):

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 sp = pytest.importorskip("sympy")
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from nonproper import mpoly
 from nonproper.curves import ansatz_system
@@ -146,10 +147,34 @@ def test_rabinowitsch_basis_matches_reference(d, deg, unit):
     assert (mine == [big.one()]) == unit == vanishes_on(p, system.ideal)
 
 
+# PRS branches that random draws may miss, as (p, q) in x, y, z
+RESULTANT_EDGE_CASES = [
+    ("x^2*y + x - 1", "2*x^2 - x*y + 3"),  # equal degrees: delta = 0
+    ("x^4 + x + y", "x^3 + y"),  # the remainder drops two degrees
+    ("x^4*y + x + 1", "x^5*y + 2*x^2 + x + y"),  # ... after a step that sets h = y
+    ("x^3 + y", "x^2*y + 1"),  # a pseudo-division step on a zero coefficient
+    ("x + y", "x^3 + y"),  # both degrees odd, swapped on entry
+    ("x^2 - x*y + x - y", "x^3 - x^2*y + x*y - y^2"),  # common factor x - y
+    ("1/2*x^2 + 1/3*y", "2/3*x^3 - 1/2*x + 1"),  # rational coefficients
+    ("x^2*y + x*z - 1", "x^3 + x*y*z - z^2"),  # three variables
+]
+
+
+def assert_resultant_matches(p, q, syms):
+    mine = resultant(p, q, "x")
+    # Res(p, q) as the determinant of sympy's Sylvester matrix: sympy's
+    # resultant() flips the sign when p has the lower degree and both
+    # degrees are odd (sympy 1.14: it gives 3 for Res(x + 2, x^3 + 5) = -3)
+    ref = sylvester(to_sympy(p, syms), to_sympy(q, syms), syms[0], 1).det()
+    # the reference fixes the opposite block order, so compare up to
+    # the sign flip (-1)^(deg p * deg q)
+    sign = (-1) ** (p.degree_in("x") * q.degree_in("x"))
+    assert sp.expand(to_sympy(mine, syms) - sign * ref) == 0
+
+
 def test_resultant_matches_reference():
     rng = random.Random(7)
     ctx = Context(("x", "y"), LEX)
-    x, y = XS[:2]
     done = 0
     while done < 30:
         p = random_mpoly(rng, ctx, 2, 3)
@@ -157,12 +182,10 @@ def test_resultant_matches_reference():
         if p.degree_in("x") == 0 or q.degree_in("x") == 0:
             continue
         done += 1
-        mine = resultant(p, q, "x")
-        ref = sp.resultant(to_sympy(p, (x, y)), to_sympy(q, (x, y)), x)
-        # the reference fixes the opposite block order, so compare up to
-        # the sign flip (-1)^(deg p * deg q)
-        sign = (-1) ** (p.degree_in("x") * q.degree_in("x"))
-        assert sp.expand(to_sympy(mine, (x, y)) - sign * ref) == 0
+        assert_resultant_matches(p, q, XS[:2])
+    ctx = Context(("x", "y", "z"), LEX)
+    for p, q in RESULTANT_EDGE_CASES:
+        assert_resultant_matches(parse_poly(p, ctx), parse_poly(q, ctx), XS)
 
 
 def test_gcd_matches_reference():

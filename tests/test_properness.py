@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from fractions import Fraction as Q
 from itertools import product
 from pathlib import Path
@@ -221,6 +222,12 @@ class TestCrossOracle:
         b = coordinate_min_poly_resultant(f, 1)
         assert a.canonical() == b.rebase(a.ctx).canonical()
 
+    def test_content_in_the_coordinate_stays_with_domain_equations(self):
+        # on y^2 = 0 the coordinate y is algebraic, and its relation y is
+        # its own content over Q[y]
+        f = pmap(CXY, "x", domain=Ideal(CXY, [parse_poly("y^2", CXY)]))
+        assert str(coordinate_min_poly_resultant(f, 1)) == "y"
+
     def test_components_agree_up_to_radical(self):
         for f in (scaling_n2(), twist(2), twist(3), hyperbola(),
                   pmap(C2, "x1", "x2"), pmap(C2, "x1^2", "x2^2")):
@@ -375,3 +382,32 @@ def test_reduced_basis_relations_are_squarefree_on_affine_space():
     assert counts["verdicts"] >= 100
     assert counts["relations"] >= 300
     assert counts["non_principal"] >= 100
+
+
+def test_resultant_oracle_equals_groebner_relation_on_planar_maps():
+    """On affine space with m = n = 2 the resultant path, cut to its
+    squarefree part and divided by its content over Q[x_j], returns the
+    relation of the Groebner path.  Seeded draws: each component has up
+    to three terms of degree at most 3 and at times a linear term, with
+    coefficients -2, -1, 1 or 2.  A zero Jacobian gives no verdict."""
+    rng = random.Random(1)
+    monos = [e for e in product(range(4), repeat=2) if sum(e) <= 3]
+    coeffs = (-2, -1, 1, 2)
+    verdicts = 0
+    for _ in range(60):
+        comps = []
+        for _ in range(2):
+            terms = {rng.choice(monos): rng.choice(coeffs) for _ in range(rng.randint(1, 3))}
+            if rng.random() < 0.5:
+                linear = rng.choice(((1, 0), (0, 1)))
+                terms[linear] = terms.get(linear, 0) + rng.choice(coeffs)
+            comps.append(MPoly(CXY, terms))
+        a, b = comps
+        jacobian = a.derivative("x") * b.derivative("y") - a.derivative("y") * b.derivative("x")
+        if jacobian.is_zero():
+            continue
+        verdicts += 1
+        f = PolyMap(CXY, tuple(comps))
+        for j in range(2):
+            assert coordinate_min_poly_resultant(f, j) == coordinate_min_poly(f, j), (comps, j)
+    assert verdicts >= 50
