@@ -12,14 +12,13 @@ composition of a polynomial with term-dict coordinates, here keyed by
 is not integral.  The ansatz equations are the t^k coefficients
 (``ansatz_system``) and ``substitute_curve`` is the case with no unknowns.
 
-The exact work of the search and of the minimality proof runs on int term
-dicts, like the Groebner kernel: the line test, the integer-primitive
-ansatz equations, the back-substitution over the lex basis (each node
-evaluates int rows, scaled by one positive factor) and the nilpotence
-proof (squaring and reduction of int remainders, divided by their
-content).  A positive scale changes no zero, degree or rational root, so
-the search visits the same nodes and the proof decides the same way as in
-``Fraction`` arithmetic.  What is claimed is still checked in ``Fraction``:
+The exact work of the search runs on int term dicts, like the Groebner
+kernel: the line test, the integer-primitive ansatz equations and the
+back-substitution over the lex basis (each node evaluates int rows, scaled
+by one positive factor).  A positive scale changes no zero, degree or
+rational root, so the search visits the same nodes as in ``Fraction``
+arithmetic.  The minimality proof reads only the leading monomials of a
+grevlex basis.  What is claimed is still checked in ``Fraction``:
 ``verify_curve`` composes each generator with the found curve, and
 ``verify_curve_pointwise`` evaluates them at rational parameters.
 """
@@ -31,14 +30,12 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetError, PreconditionError
-from .groebner import Ideal, _reduce, eliminate
+from .groebner import Ideal, eliminate
 from .mpoly import (
     Context,
     MPoly,
     _clear_denominators,
-    _lead,
     _primitive,
-    _tmul,
     expand_along,
     resultant,
 )
@@ -578,31 +575,6 @@ def find_curve(variety, a, d, mode="complex", inequalities=()):
     return None
 
 
-def _standard_monomial_count(lms, n):
-    """Number of monomials in n variables divisible by none of the
-    exponent vectors lms, which must include a pure power of every
-    variable.  Splits on the exponent of the last variable: at exponent
-    j the survivors are the standard monomials, in one variable fewer,
-    of the generators whose last exponent is at most j."""
-    memo = {}
-
-    def count(gens, k):
-        if any(not any(g) for g in gens):
-            return 0
-        if k == 0:
-            return 1
-        key = (gens, k)
-        if key not in memo:
-            bound = min(g[k - 1] for g in gens if not any(g[:k - 1]))
-            memo[key] = sum(
-                count(frozenset(g[:k - 1] for g in gens if g[k - 1] <= j), k - 1)
-                for j in range(bound)
-            )
-        return memo[key]
-
-    return count(frozenset(lms), n)
-
-
 def no_smaller_curve(variety, a, d):
     """Prove that no nonconstant curve of degree at most d-1 passes
     through a inside the variety.
@@ -610,47 +582,22 @@ def no_smaller_curve(variety, a, d):
     The curves through a of degree at most d-1 are the points b of V(I),
     I the degree-(d-1) ansatz ideal in the unknown coefficients, and
     b = 0 (the constant curve) is always one of them.  So the proof holds
-    iff V(I) = {0}, that is iff I is zero-dimensional and every unknown
-    is nilpotent in C[b]/I.  One grevlex basis decides both (Cox, Little
-    & O'Shea, Ideals, Varieties, and Algorithms, ch. 5 sec. 3):
-    I is zero-dimensional iff some leading monomial is a pure power of
-    each unknown, and then C[b]/I has dimension D, the number of
-    standard monomials.  An unknown is nilpotent iff its D-th power is
-    in I, which repeated squaring of normal forms decides exactly.  The
-    zero ideal (every coefficient vector is a curve) gives False, the
-    unit ideal True.
-
-    The squaring runs on int term dicts: ``_tmul`` squares, ``_reduce``
-    reduces against the lead triples of the grevlex basis, and each
-    remainder is divided by its content.  So each remainder is a positive
-    multiple of the exact normal form, and a positive scale does not
-    change whether it is zero."""
+    iff V(I) = {0}.  V(I) is a cone: b_{i,j} -> lambda^j * b_{i,j} turns
+    the curve c(t) into c(lambda*t), so it scales the t^k equation by
+    lambda^k.  With b, V(I) thus holds the curve lambda -> lambda.b, which
+    is constant only at b = 0, and a finite V(I) holds no nonconstant
+    curve.  Hence V(I) = {0} iff V(I) is finite, iff some leading
+    monomial of a grevlex basis is a pure power of each unknown (Cox,
+    Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 5 sec. 3,
+    Thm. 6).  The zero ideal (every coefficient vector is a curve) has no
+    leading monomials and gives False; the unit ideal cannot occur, since
+    b = 0 lies in V(I)."""
     if d <= 1:
         raise PreconditionError("no_smaller_curve needs d >= 2 (degree d-1 curves exist only for d-1 >= 1)")
     system = ansatz_system(variety, a, d - 1)
-    bctx = system.bctx
-    order = bctx.order
-    basis = system.ideal.groebner()
-    if not basis:
-        return False
-    if system.ideal.is_unit():
-        return True
-    lead = [_lead(g, order) for g in basis]
-    lms = [lm for lm, _, _ in lead]
-    n = bctx.arity
-    if not all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(n)):
-        return False
-    D = _standard_monomial_count(lms, n)
-    for i in range(n):
-        r = _reduce({(0,) * i + (1,) + (0,) * (n - i - 1): 1}, lead, order)[0]
-        power = 1
-        while power < D and r:
-            r = _primitive(next(iter(r)), r)[2]
-            r = _reduce(_tmul(r, r), lead, order)[0]
-            power *= 2
-        if r:
-            return False
-    return True
+    order = system.bctx.order
+    lms = [g.leading_monomial(order) for g in system.ideal.groebner()]
+    return all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(system.bctx.arity))
 
 
 # -- certificates ------------------------------------------------------------------

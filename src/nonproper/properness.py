@@ -171,25 +171,35 @@ def _min_poly(f, elim, name):
     coordinate and the basis is canonical, so ``squarefree_part`` would
     return g unchanged.  With domain equations the graph ideal need not
     be prime (on y^2 = 0 the relation of y is y^2), so there the relation
-    is cut to its squarefree part in the coordinate."""
+    is cut to its squarefree part in the coordinate.  Nor need the image
+    ideal J be radical, so a basis relation can have a leading
+    coefficient that vanishes on the whole image (on x^2 = 0 the map
+    (x, x*y) gives y the relation y*y1 - y2, and y1 vanishes there).
+    Such a relation bounds nothing, so the lowest relation whose leading
+    coefficient does not vanish on V(J) is taken, and if there is none
+    the map is treated as not generically finite."""
     candidates = _relations(elim, name)
-    if not candidates:
-        if elim.is_unit():
-            raise PreconditionError("the domain is empty: its equations have no common zero")
-        raise PreconditionError(
-            f"map is not generically finite: coordinate {name!r} is not "
-            "algebraic over the image"
-        )
-    phi = _lowest_in(candidates, name)
-    if f.domain_is_affine_space():
-        return phi
-    return squarefree_part(phi, name)
+    if candidates and f.domain_is_affine_space():
+        return _lowest_in(candidates, name)
+    if not candidates and elim.is_unit():
+        raise PreconditionError("the domain is empty: its equations have no common zero")
+    J = _image_ideal(f, elim, name)
+    while candidates:
+        phi = _lowest_in(candidates, name)
+        if not vanishes_on(phi.coeffs_in(name)[phi.degree_in(name)].rebase(J.ctx), J):
+            return squarefree_part(phi, name)
+        candidates.remove(phi)
+    raise PreconditionError(
+        f"map is not generically finite: coordinate {name!r} is not "
+        "algebraic over the image"
+    )
 
 
 def coordinate_min_poly(f: PolyMap, j) -> MPoly:
     """A nonzero relation between source coordinate j and the image
     variables, of minimal degree in that coordinate within the computed
-    elimination basis; integer-primitive and squarefree in the
+    elimination basis among those whose leading coefficient does not
+    vanish on the image; integer-primitive and squarefree in the
     coordinate.
 
     On affine space no gcd is taken: the elimination ideal is prime, so

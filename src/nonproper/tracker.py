@@ -318,7 +318,10 @@ def track(f, target, path, tol=1e-8):
         raise PreconditionError("target arity must match the number of components")
     points = [path.point_fn(k) for k in path.schedule]
     last_val = f.evaluate(points[-1])
-    resid = math.sqrt(sum(abs(complex(a - b)) ** 2 for a, b in zip(last_val, target)))
+    try:
+        resid = math.sqrt(sum(abs(complex(a - b)) ** 2 for a, b in zip(last_val, target)))
+    except OverflowError:  # the last image point lies beyond float range
+        resid = math.inf
     scale = 1.0 + math.sqrt(sum(abs(complex(t)) ** 2 for t in target))
     if resid >= _RESIDUAL_TOL * scale:
         raise PreconditionError(

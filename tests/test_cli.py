@@ -92,6 +92,17 @@ class TestSf:
         coord = {c["variable"]: c for c in report["result"]["coordinates"]}["y"]
         assert (coord["min_poly"], coord["degree"]) == ("y", 1)
 
+    def test_nilpotent_lead_relation_is_skipped(self, capsys):
+        """On z^2 = 0 the lowest basis relation of x is x*y3 - y1*y2, whose
+        leading coefficient y3 vanishes on the image; the relation of x
+        is x^2 - y2, and the set stays empty."""
+        code, report, _ = run_cli(capsys, "sf", str(PROBLEMS / "sf_nilpotent_lead_domain.json"),
+                                  "--quiet")
+        assert code == 0
+        assert report["result"]["components"] == []
+        coord = {c["variable"]: c for c in report["result"]["coordinates"]}["x"]
+        assert (coord["min_poly"], coord["lead_coeff"]) == ("x^2 - y2", "1")
+
     def test_proper_map_exit_zero(self, capsys, tmp_path):
         path = write_problem(tmp_path, {
             "format": 1, "vars": ["x1", "x2"], "map": ["x1", "x2"],
@@ -231,6 +242,14 @@ class TestExitTaxonomy:
         code, *_ = run_cli(capsys, "sf", path, "--quiet")
         assert code == 3
 
+    def test_constant_on_nonreduced_domain_is_3(self, capsys):
+        # on x^2 = 0 the map (x, x*y) is constant; the relation y*y1 - y2
+        # has the leading coefficient y1, which vanishes on the image
+        code, report, err = run_cli(
+            capsys, "sf", str(PROBLEMS / "sf_constant_on_nonreduced_domain.json"), "--quiet")
+        assert code == 3 and report is None
+        assert "not generically finite" in err and "'y'" in err
+
     def test_empty_domain_is_3_and_named(self, capsys, tmp_path):
         path = write_problem(tmp_path, {
             "format": 1, "vars": ["x", "y"], "domain_equations": ["1"], "map": ["x", "y"],
@@ -258,6 +277,16 @@ class TestExitTaxonomy:
     def test_track_bad_path_is_3(self, capsys):
         code, *_ = run_cli(capsys, "track", str(PROBLEMS / "identity_control.json"), "--quiet")
         assert code == 3
+
+    def test_track_image_beyond_float_range_is_3(self, capsys, tmp_path):
+        # the residual of (k^-2, k^38) at k = 40 overflowed a float (exit 1)
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "map": ["x", "x*y"], "kmax": 40,
+            "targets": [["0", "1"]], "paths": [{"point": ["1/k^2", "k^40"]}],
+        })
+        code, report, err = run_cli(capsys, "track", path, "--quiet")
+        assert code == 3 and report is None
+        assert "path does not approach the target" in err
 
     def test_broken_action_is_3(self, capsys, tmp_path):
         path = write_problem(tmp_path, {

@@ -17,7 +17,6 @@ from nonproper.curves import (
     _power_table,
     _rational_roots,
     _row_value,
-    _standard_monomial_count,
     ansatz_system,
     certify,
     common_inner,
@@ -347,9 +346,14 @@ def fraction_ansatz_solutions(system):
 
 
 def fraction_no_smaller_curve(variety, a, d):
-    """Reference nilpotence proof in Fraction arithmetic: the same grevlex
-    basis and standard-monomial count, with each unknown squared by MPoly
-    products and reduced by Ideal.normal_form."""
+    """Reference minimality proof in Fraction arithmetic, without the cone
+    argument: V(I) = {0} iff I is zero-dimensional and every unknown is
+    nilpotent in C[b]/I.  I is zero-dimensional iff a pure power b^e_b of
+    each unknown leads the grevlex basis; then every standard monomial
+    lies in the box of exponents below (e_b), so C[b]/I has dimension at
+    most D = prod(e_b), and an unknown is nilpotent iff its D-th power is
+    in I.  Each unknown is squared by MPoly products and reduced by
+    Ideal.normal_form until its power reaches D."""
     system = ansatz_system(variety, a, d - 1)
     bctx = system.bctx
     basis = system.ideal.groebner()
@@ -358,10 +362,12 @@ def fraction_no_smaller_curve(variety, a, d):
     if system.ideal.is_unit():
         return True
     lms = [g.leading_monomial(bctx.order) for g in basis]
-    n = bctx.arity
-    if not all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(n)):
-        return False
-    D = _standard_monomial_count(lms, n)
+    D = 1
+    for i in range(bctx.arity):
+        powers = [lm[i] for lm in lms if lm[i] and sum(lm) == lm[i]]
+        if not powers:
+            return False
+        D *= min(powers)
     for nm in bctx.names:
         r = system.ideal.normal_form(bctx.var(nm))
         power = 1
@@ -541,6 +547,15 @@ class TestNoSmallerCurve:
         assert no_smaller_curve(circle, (1, 0), 2)
         assert no_smaller_curve(circle, (1, 0), 3)
         assert find_curve(circle, (1, 0), 3) is None
+
+
+class TestFinitenessDecidesMinimality:
+    @given(plane_curve_cases())
+    def test_pure_power_test_matches_nilpotence(self, case):
+        # the cone argument: a zero-dimensional ansatz ideal has only the
+        # zero of the constant curve, so every unknown is nilpotent
+        variety, a, d = case
+        assert no_smaller_curve(variety, a, d) == fraction_no_smaller_curve(variety, a, d)
 
 
 class TestDecompose:
