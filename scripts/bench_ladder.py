@@ -15,13 +15,18 @@ For each side the script records:
   median, is wider than the metric's bound;
 - the in-process wall time of each case in CASES, in a fresh interpreter
   on that side's ``src/`` (import time excluded), CASE_RUNS runs per side,
-  the sides alternating as above, recorded as each side's quartiles, the
-  number of runs in which the after run (against the before run of the
-  same index) is faster, and ``unresolved`` when either side's
-  interquartile range, relative to its median, is wider than the
-  ``job_p50_s`` bound.  A run that hits the CAP_S wall cap is recorded at
-  the cap and flags ``<side>_capped``; that side's later runs of the case
-  are recorded at the cap without being run.
+  the sides alternating as above.  Each run also times
+  ``perfbench/reference.py``'s kernel right before and after the case in
+  the same interpreter and scales the case's time by it as perfbench
+  does, so scaled rows of different files compare across host speeds.
+  A row holds each side's quartiles, raw (``<side>_s``) and scaled
+  (``<side>_scaled_s``), the number of runs in which the after run
+  (against the before run of the same index) is faster when scaled, and
+  ``unresolved`` when either side's scaled interquartile range, relative
+  to its median, is wider than the ``job_p50_s`` bound.  A run that hits
+  the CAP_S wall cap is recorded at the cap, raw and scaled, and flags
+  ``<side>_capped``; that side's later runs of the case are recorded at
+  the cap without being run.
 
 Progress goes to stderr.
 """
@@ -105,12 +110,25 @@ CASES = (
     _sf_case(["x^3*y^2 + x - y", "x^2*y + 2*y^2 + x"]),
     _sf_case(["x^4*y^3 + x - y", "x^3*y^2 + 2*y^2 + x"]),
     _sf_case(["x^5*y^2 + x - y", "x^2*y^3 + 2*y^2 + x"]),
+    _sf_case(["x^5*y^4 + x - y", "x^4*y^3 + 2*y^2 + x"]),
+    _sf_case(["x^6*y^3 + x - y", "x^3*y^4 + 2*y^2 + x"]),
+    _sf_case(["x^7*y^4 + x - y", "x^4*y^5 + 2*y^2 + x"]),
     _sf_case(["x^2*y*z + x - y", "y^2*z + x*z + y", "z^2*x + y - 1"], ("x", "y", "z")),
     *(_twist_certify_case(d) for d in (3, 4, 5)),
     *(_twist_track_case(d) for d in (4, 8, 12)),
 )
 
-TIMER = "{setup}\nimport time\nt = time.perf_counter()\n{expr}\nprint(time.perf_counter() - t)\n"
+# the case, timed between two runs of perfbench/reference.py's kernel
+TIMER = """{setup}
+import sys, time
+sys.path.insert(0, {perfbench!r})
+from reference import reference_s, scaled
+r0 = reference_s()
+t = time.perf_counter()
+{expr}
+t = time.perf_counter() - t
+print(t, scaled(t, r0, reference_s()))
+"""
 
 
 def _git(*args):
@@ -165,16 +183,19 @@ def summarize(runs, metrics):
 
 
 def case_time(checkout, setup, expr):
-    """(wall seconds, capped) of one timed expression in a fresh interpreter."""
+    """(wall seconds, scaled seconds, capped) of one timed expression in a
+    fresh interpreter; a capped run reads CAP_S in both."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    code = TIMER.format(setup=setup, expr=expr, perfbench=str(ROOT / "perfbench"))
     try:
-        out = subprocess.run([sys.executable, "-c", TIMER.format(setup=setup, expr=expr)],
+        out = subprocess.run([sys.executable, "-c", code],
                              env=env, capture_output=True, text=True, timeout=CAP_S)
     except subprocess.TimeoutExpired:
-        return CAP_S, True
+        return CAP_S, CAP_S, True
     if out.returncode:
         raise RuntimeError(f"case failed:\n{out.stderr}")
-    return round(float(out.stdout.split()[-1]), 4), False
+    raw, scaled = out.stdout.split()[-2:]
+    return round(float(raw), 4), round(float(scaled), 4), False
 
 
 def main(argv=None):
@@ -202,20 +223,26 @@ def main(argv=None):
         cases = []
         for name, setup, expr in CASES:
             times = {"before": [], "after": []}
+            scaled = {"before": [], "after": []}
             capped = {"before": False, "after": False}
             for i in range(CASE_RUNS):
                 for side in (("before", "after") if i % 2 == 0 else ("after", "before")):
                     print(f"case {name} run {i + 1} {side}", file=sys.stderr)
                     if capped[side]:
                         times[side].append(CAP_S)
+                        scaled[side].append(CAP_S)
                         continue
-                    t, capped[side] = case_time(checkouts[side], setup, expr)
+                    t, ts, capped[side] = case_time(checkouts[side], setup, expr)
                     times[side].append(t)
+                    scaled[side].append(ts)
             row = {"case": name}
             for side in ("before", "after"):
-                row[f"{side}_s"], row[f"{side}_capped"] = _quartiles(times[side]), capped[side]
-            row["after_better_runs"] = sum(a < b for b, a in zip(times["before"], times["after"]))
-            row["unresolved"] = _unresolved((row["before_s"], row["after_s"]), case_bound)
+                row[f"{side}_s"] = _quartiles(times[side])
+                row[f"{side}_scaled_s"] = _quartiles(scaled[side])
+                row[f"{side}_capped"] = capped[side]
+            row["after_better_runs"] = sum(a < b for b, a in zip(scaled["before"], scaled["after"]))
+            row["unresolved"] = _unresolved((row["before_scaled_s"], row["after_scaled_s"]),
+                                            case_bound)
             cases.append(row)
     json.dump({
         "command": f"python3 scripts/bench_ladder.py --before {args.before} --after {args.after}",
@@ -225,7 +252,9 @@ def main(argv=None):
                       "quartiles": "[q1, median, q3] of each side's runs",
                       "runs": bench},
         "cases": {"cap_s": CAP_S, "runs": CASE_RUNS,
-                  "quartiles": "[q1, median, q3] of each side's runs", "rows": cases},
+                  "quartiles": "[q1, median, q3] of each side's runs",
+                  "scaled": "seconds at perfbench/reference.py's REF_S kernel speed",
+                  "rows": cases},
     }, sys.stdout, indent=1)
     print()
     return 0

@@ -25,7 +25,9 @@ from .errors import PreconditionError
 from .groebner import vanishes_on
 from .problem import parse_curve, problem_from_dict
 from .properness import (
+    _is_planar,
     is_proper_at,
+    sf_components_groebner,
     sf_components_resultant,
     sf_compute,
     theorem_bound,
@@ -60,22 +62,29 @@ def _components_match(sf, expected):
 
 
 def cross_oracle_agree(f, sf):
-    """Component-wise radical agreement between the Groebner-path and
-    resultant-path non-properness sets."""
-    res_comps = sf_components_resultant(f)
-    if len(res_comps) != len(sf.components):
-        return False, f"{len(sf.components)} vs {len(res_comps)} components"
+    """Component-wise radical agreement between sf_compute's set and an
+    independent path's.
+
+    Planar maps (n = m = 2 on affine space with a Jacobian determinant not
+    identically zero) get their relations in sf_compute from the resultant
+    kernel that ``sf_components_resultant`` shares, so they are compared
+    with the Groebner relation path, ``sf_components_groebner``.  Every
+    other map gets its relations from elimination bases and is compared
+    with the resultant path."""
+    other = (sf_components_groebner if _is_planar(f) else sf_components_resultant)(f)
+    if len(other) != len(sf.components):
+        return False, f"{len(sf.components)} vs {len(other)} components"
 
     def matches(c, d):
         return (all(vanishes_on(g, d) for g in c.groebner())
                 and all(vanishes_on(g, c) for g in d.groebner()))
 
     for c in sf.components:
-        if not any(matches(c, d) for d in res_comps):
+        if not any(matches(c, d) for d in other):
             return False, f"unmatched component {[str(g) for g in c.canonical_generators()]}"
-    for d in res_comps:
+    for d in other:
         if not any(matches(c, d) for c in sf.components):
-            return False, "resultant path has an extra component"
+            return False, "the other path has an extra component"
     return True, ""
 
 

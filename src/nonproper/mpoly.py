@@ -14,10 +14,12 @@ product, substitution and canonical form run on them, and so do the
 Groebner kernel (``groebner.py``, on int term dicts that are
 integer-primitive multiples of these polynomials) and the curve ansatz
 (``curves.py``).  The gcd (``mpoly_gcd``) and the resultant share one
-pseudo-remainder, ``_pseudo_rem``: the gcd's sequence makes each remainder
-integer-primitive, and the resultant's is the subresultant sequence.  The
-gcd's coprimality certificate evaluates univariate images as int lists mod
-the prime 2^31 - 1.
+pseudo-remainder, ``_pseudo_rem``, and ``exact_div`` and the resultant one
+exact division, ``_idiv``; both run on int term dicts, a polynomial in the
+chosen variable held as one int term dict per power of it.  The gcd's
+sequence makes each remainder integer-primitive, and the resultant's is
+the subresultant sequence.  The gcd's coprimality certificate evaluates
+univariate images as int lists mod the prime 2^31 - 1.
 
 Canonical form: an integer-primitive scalar multiple with positive leading
 coefficient under the active order.  Golden-value tests compare canonical
@@ -29,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from heapq import heapify, heappop, heappush
+from operator import add, sub
 
 from .errors import PreconditionError
 from .orders import GREVLEX, MonomialOrder
@@ -427,38 +430,107 @@ class MPoly:
 
 
 # -- exact division; gcd and resultant on one pseudo-remainder ---------------
+#
+# The kernels below run on int term dicts.  A polynomial in one chosen
+# variable is a list of rows, the int term dict of each power of the
+# variable (index = power), keyed with the variable's exponent left at 0.
+
+
+def _imul(a, b):
+    """Product of two int term dicts, without zero values."""
+    return {k: v for k, v in _tmul(a, b).items() if v}
+
+
+def _imul_sub(a, x, b, y):
+    """a*x - b*y of int term dicts, without zero values."""
+    out = _tmul(a, x)
+    for k, v in _tmul(b, y).items():
+        out[k] = out.get(k, 0) - v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ipow(a, e, one):
+    out = one
+    for _ in range(e):
+        out = _imul(out, a)
+    return out
+
+
+def _idiv(p, q):
+    """Exact quotient over Z of int term dicts p / q, by division in lex
+    order (the order of the exponent tuples); raises if q does not divide
+    p with an integer quotient."""
+    if len(q) == 1:
+        (qm, qc), = q.items()
+        quot = {}
+        for m, c in p.items():
+            k = tuple(map(sub, m, qm))
+            d, r = divmod(c, qc)
+            if r or min(k) < 0:
+                raise PreconditionError("not an exact polynomial division")
+            quot[k] = d
+        return quot
+    qlm = max(q)
+    qlc = q[qlm]
+    tail = [(m, c) for m, c in q.items() if m != qlm]
+    rest = dict(p)
+    heap = [tuple([-e for e in m]) for m in rest]
+    heapify(heap)
+    quot = {}
+    while heap:
+        m = tuple([-e for e in heappop(heap)])
+        c = rest.pop(m, 0)
+        if not c:  # a cancelled term, or a second heap entry of one
+            continue
+        k = tuple(map(sub, m, qlm))
+        d, r = divmod(c, qlc)
+        if r or min(k) < 0:
+            raise PreconditionError("not an exact polynomial division")
+        quot[k] = d
+        for qm, qc in tail:  # every k*qm is below m, so no popped key returns
+            mm = tuple(map(add, k, qm))
+            old = rest.get(mm)
+            if old is None:
+                heappush(heap, tuple([-e for e in mm]))
+                old = 0
+            v = old - d * qc
+            if v:
+                rest[mm] = v
+            else:
+                del rest[mm]
+    return quot
+
+
+def _rows(terms, i):
+    """An int term dict as rows in variable i."""
+    rows = [{} for _ in range(max(m[i] for m in terms) + 1)]
+    for m, c in terms.items():
+        rows[m[i]][m[:i] + (0,) + m[i + 1:]] = c
+    return rows
+
+
+def _unrows(ctx, rows, i):
+    """The MPoly in ctx of rows in variable i."""
+    return MPoly(ctx, {m[:i] + (e,) + m[i + 1:]: c
+                       for e, row in enumerate(rows) for m, c in row.items()})
 
 
 def exact_div(p, q):
     """Exact quotient p/q in the polynomial ring; raises if q does not
-    divide p."""
+    divide p.
+
+    With p = P/D_p and q = g*Q/D_q, where P and Q have integer
+    coefficients and Q is primitive, p/q = (P/Q) * D_q/(g*D_p).  If q
+    divides p, Gauss's lemma makes P/Q a polynomial over Z, so it is
+    computed by the int division ``_idiv``."""
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    c = q.constant_value()
-    if c is not None:
-        return MPoly(p.ctx, {m: v / c for m, v in p.terms.items()})
-    ctx = p.ctx
-    order = ctx.order
-    qlm = q.leading_monomial(order)
-    qlc = q.leading_coeff(order)
-    quot = {}
-    rest = dict(p.terms)
-    while rest:
-        m = min(rest, key=order.neg_key)
-        c = rest[m]
-        diff = tuple(a - b for a, b in zip(m, qlm))
-        if any(e < 0 for e in diff):
-            raise PreconditionError("not an exact polynomial division")
-        fac = c / qlc
-        quot[diff] = quot.get(diff, 0) + fac
-        for qm, qc in q.terms.items():
-            mm = tuple(a + b for a, b in zip(diff, qm))
-            s = rest.get(mm, 0) - fac * qc
-            if s:
-                rest[mm] = s
-            else:
-                rest.pop(mm, None)
-    return MPoly(ctx, quot)
+    dp, P = _clear_denominators(p.terms)
+    dq, Q = _clear_denominators(q.terms)
+    g = gcd(*Q.values())
+    scale = Fraction(dq, g * dp)
+    quot = _idiv(P, {m: c // g for m, c in Q.items()})
+    return MPoly(p.ctx, {m: c * scale for m, c in quot.items()})
 
 
 def _content_in(p, name):
@@ -484,36 +556,28 @@ def _quotient(p, c):
     return p if c.constant_value() is not None else exact_div(p, c)
 
 
-def _pseudo_rem(a, b, name):
+def _pseudo_rem(a, b):
     """(r, e) with lc(b)^e * r the full pseudo-remainder
-    lc(b)^(deg a - deg b + 1) * a mod b in one variable, deg a >= deg b.
+    lc(b)^(deg a - deg b + 1) * a mod b of two rows, deg a >= deg b.
     A step on a zero leading coefficient is skipped without scaling and
     counted in e; the gcd reads r alone."""
-    ctx = a.ctx
-    ca = a.coeffs_in(name)
-    cb = b.coeffs_in(name)
-    da, db = len(ca) - 1, len(cb) - 1
-    lb = cb[-1]
-    r = list(ca)
-    e = da - db + 1
-    for _ in range(da - db + 1):
-        dr = len(r) - 1
-        while r and r[-1].is_zero():
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    e = len(a) - db
+    for _ in range(len(a) - db):
+        while r and not r[-1]:
             r.pop()
-            dr -= 1
-        if dr < db:
+        if len(r) - 1 < db:
             break
-        lr = r[-1]
-        r = [c * lb for c in r]
-        for j in range(db + 1):
-            r[dr - db + j] = r[dr - db + j] - lr * cb[j]
-        r.pop()
+        lr = r.pop()
+        shift = len(r) - db
+        r = [_imul(c, lb) if k < shift else _imul_sub(c, lb, lr, b[k - shift])
+             for k, c in enumerate(r)]
         e -= 1
-    while r and r[-1].is_zero():
+    while r and not r[-1]:
         r.pop()
-    if not r:
-        return ctx.zero(), e
-    return MPoly.from_coeffs_in(ctx, name, r), e
+    return r, e
 
 
 _P = 2**31 - 1  # the prime of the coprimality certificate
@@ -624,8 +688,11 @@ def mpoly_gcd(p, q):
         return c
     if a.degree_in(name) < b.degree_in(name):
         a, b = b, a
+    i = ctx.index(name)
     while True:
-        r, _ = _pseudo_rem(a, b, name)
+        r, _ = _pseudo_rem(_rows(_clear_denominators(a.terms)[1], i),
+                           _rows(_clear_denominators(b.terms)[1], i))
+        r = _unrows(ctx, r, i)
         if r.is_zero():
             return (c * b).canonical()  # b is primitive in v
         if r.degree_in(name) == 0:
@@ -654,36 +721,53 @@ def squarefree_full(p):
     return _quotient(p, mpoly_gcd(p, g)).canonical()
 
 
-def resultant(p, q, name):
-    """Res(q, p) = (-1)^(deg p * deg q) * Res(p, q) in one variable, the
-    Sylvester determinant with the rows of q on top; it vanishes at a
-    parameter point iff p and q share a root there (or both leading
-    coefficients vanish).  The subresultant PRS (Collins, JACM 14, 1967;
-    Brown & Traub, JACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7, without
-    content extraction) runs on the gcd's pseudo-remainder, each full
-    remainder divided exactly by g*h^delta.  No canonicalization is
-    applied, so value and sign are exact."""
-    a, b = q, p
-    da, db = a.degree_in(name), b.degree_in(name)
-    if da == 0 or db == 0:
-        raise PreconditionError("resultant requires positive degree in the variable")
-    ctx = p.ctx
+def _resultant_rows(a, b):
+    """Res(a, b) of two rows of positive degree, the Sylvester determinant
+    with the rows of a on top, as an int term dict.  The subresultant PRS
+    (Collins, JACM 14, 1967; Brown & Traub, JACM 18, 1971; Cohen, GTM 138,
+    Alg. 3.3.7, without content extraction) runs on ``_pseudo_rem``, each
+    full remainder divided exactly by g*h^delta."""
+    one = {(0,) * len(next(iter(a[-1]))): 1}
+    da, db = len(a) - 1, len(b) - 1
     s = 1
     if da < db:
         a, b, da, db = b, a, db, da
         s = -1 if da % 2 and db % 2 else 1
-    g = h = ctx.one()
+    g = h = one
     while db:
         delta = da - db
         if da % 2 and db % 2:
             s = -s
-        r, e = _pseudo_rem(a, b, name)
-        if r.is_zero():
-            return ctx.zero()
-        lb = b.coeffs_in(name)[-1]
-        a, b = b, exact_div(r * lb ** e, g * h ** delta)
+        r, e = _pseudo_rem(a, b)
+        if not r:
+            return {}
+        lb = b[-1]
+        if e:
+            r = [_imul(c, _ipow(lb, e, one)) for c in r]
+        div = _imul(g, _ipow(h, delta, one))
+        a, b = b, r if div == one else [_idiv(c, div) for c in r]
         g = lb
         if delta:
-            h = exact_div(g ** delta, h ** (delta - 1))
-        da, db = db, b.degree_in(name)
-    return exact_div(b ** da, h ** (da - 1)) * s
+            h = _idiv(_ipow(g, delta, one), _ipow(h, delta - 1, one))
+        da, db = db, len(b) - 1
+    res = _idiv(_ipow(b[0], da, one), _ipow(h, da - 1, one))
+    return res if s == 1 else {m: -c for m, c in res.items()}
+
+
+def resultant(p, q, name):
+    """Res(q, p) = (-1)^(deg p * deg q) * Res(p, q) in one variable, the
+    Sylvester determinant with the rows of q on top; it vanishes at a
+    parameter point iff p and q share a root there (or both leading
+    coefficients vanish).  It is ``_resultant_rows`` on the integer
+    multiples P = D_p*p and Q = D_q*q, divided by
+    D_q^(deg p) * D_p^(deg q).  No canonicalization is applied, so value
+    and sign are exact."""
+    dp, dq = p.degree_in(name), q.degree_in(name)
+    if dp == 0 or dq == 0:
+        raise PreconditionError("resultant requires positive degree in the variable")
+    i = p.ctx.index(name)
+    Dp, P = _clear_denominators(p.terms)
+    Dq, Q = _clear_denominators(q.terms)
+    den = Dq ** dp * Dp ** dq
+    res = _resultant_rows(_rows(Q, i), _rows(P, i))
+    return MPoly(p.ctx, {m: Fraction(c, den) for m, c in res.items()})

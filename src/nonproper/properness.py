@@ -16,6 +16,16 @@ reduced basis is irreducible.  For maps with a proper subvariety as
 image the leading-coefficient criterion is best-effort and is
 cross-checked by an independent resultant-based elimination and by the
 numeric tracker.
+
+Which path a map takes is a property of the input.  A planar map (two
+variables, two components, affine space, a Jacobian determinant not
+identically zero; ``_is_planar``) takes each relation from one integer
+subresultant, Res_{x_o}(f_1 - y_1, f_2 - y_2) cut to the principal
+generator of its elimination ideal (``_planar_relation``), and runs no
+elimination at all: its image ideal is zero.  Every other map (domain
+equations, m != n, n >= 3, a zero Jacobian) takes its relations and its
+image ideal from block-order elimination bases (``_min_poly``).  Both
+give the same canonical relation where both apply.
 """
 
 from __future__ import annotations
@@ -29,13 +39,17 @@ from .groebner import Ideal, dimension, eliminate, vanishes_on
 from .mpoly import (
     Context,
     MPoly,
+    _clear_denominators,
     _content_in,
+    _coprime_image,
     _quotient,
+    _resultant_rows,
     resultant,
     squarefree_full,
     squarefree_part,
 )
 from .orders import GREVLEX, LEX
+from .unipoly import udiv, ugcd
 
 
 def _image_names(m, taken):
@@ -159,7 +173,8 @@ def _lowest_in(polys, name):
 
 def _min_poly(f, elim, name):
     """The relation of coordinate_min_poly, taken from the coordinate's
-    elimination basis.
+    elimination basis: the path of every map that is not planar
+    (``_is_planar``), and the Groebner side of the planar cross-oracle.
 
     On affine space the lowest relation is returned as it is.  The graph
     ideal is prime there, so the elimination ideal I is prime too.  If a
@@ -195,12 +210,103 @@ def _min_poly(f, elim, name):
     )
 
 
+_JACOBIAN_POINTS = ((2, 3), (5, -7), (-11, 13))
+
+
+def _is_planar(f):
+    """True for n = m = 2 on affine space with a Jacobian determinant that
+    is not identically zero, the maps whose relations ``_planar_relation``
+    computes.  The determinant is evaluated at a few integer points first
+    and expanded only if it vanishes at all of them."""
+    if f.n != 2 or f.m != 2 or not f.domain_is_affine_space():
+        return False
+    (a, b), (c, d) = [[g.derivative(v) for v in f.ctx.names] for g in f.components]
+    if any(a.evaluate(pt) * d.evaluate(pt) != b.evaluate(pt) * c.evaluate(pt)
+           for pt in _JACOBIAN_POINTS):
+        return True
+    return not (a * d - b * c).is_zero()
+
+
+def _planar_relation(f, j):
+    """The relation of coordinate x_j of a planar map (``_is_planar``),
+    from one resultant and no elimination.
+
+    Why it is exact.  The map is dominant, since its Jacobian determinant
+    is not identically zero (characteristic 0).  The elimination ideal of
+    the graph in Q[x_j, y] is prime (the graph ideal is, on affine space)
+    and of height one in a UFD, so it is principal: (phi), and its reduced
+    lex basis is phi alone.  R = Res_{x_o}(f_1 - y_1, f_2 - y_2), x_o the
+    other source variable, lies in it (Cox, Little & O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 3 §6), and it is nonzero, because
+    f_1 - y_1 is linear in y_1; if one component is free of x_o, R is that
+    generator itself.  y occurs only in the coefficients free of x_o, so
+    both leading coefficients in x_o lie in Q[x_j].  Off V(phi), R
+    vanishes only where both of them vanish, so R = c*phi^k*u(x_j).  phi
+    is irreducible and involves both x_j and y (x_j is transcendental over
+    Q, and over Q(y) it is algebraic), so it is primitive over Q[x_j], and
+    dividing R by its content over Q[x_j] leaves c*phi^k.  That content
+    is taken in two steps: the lowest power of x_j, then the gcd of the
+    coefficients of the monomials in y, skipped when one of them is a
+    constant.
+
+    k = 1 is certified by one image (``_coprime_image``): take the first
+    of a few integer points of y that keeps the degree in x_j mod
+    P = 2^31 - 1.  If the image there is prime to its derivative in x_j,
+    then k = 1, since for k >= 2 the image of phi has positive degree and
+    its power k - 1 divides both.  If no point keeps the degree, or the
+    image has a repeated factor, the exact ``squarefree_part`` in x_j
+    gives phi.  The result is canonical, so it equals the Groebner path's
+    relation term for term."""
+    name, o = f.ctx.names[j], 1 - j
+    gens = []
+    for k, comp in enumerate(f.components):
+        den, terms = _clear_denominators(comp.terms)
+        rows = [{} for _ in range(max(m[o] for m in terms) + 1)]
+        for m, c in terms.items():
+            rows[m[o]][(m[j], 0, 0)] = c
+        rows[0][(0, 1, 0) if k == 0 else (0, 0, 1)] = -den
+        gens.append(rows)
+    free = [rows[0] for rows in gens if len(rows) == 1]
+    R = free[0] if free else _resultant_rows(*gens)
+    low = min(m[0] for m in R)
+    groups = {}
+    for (e, a, b), c in R.items():
+        groups.setdefault((a, b), {})[e - low] = c
+    groups = {ab: [g.get(e, 0) for e in range(max(g) + 1)] for ab, g in groups.items()}
+    content = []
+    if all(len(cs) > 1 for cs in groups.values()):  # no constant coefficient
+        for cs in groups.values():
+            content = ugcd(content, [Fraction(c) for c in cs])
+            if len(content) == 1:
+                break
+    if len(content) > 1:
+        groups = {ab: udiv(cs, content) for ab, cs in groups.items()}
+    R = {(e, a, b): c for (a, b), cs in groups.items() for e, c in enumerate(cs) if c}
+    phi = MPoly(Context((name,) + f.image_names, LEX), R)
+    if _coprime_image(phi, phi.derivative(name), 0):
+        return phi.canonical()
+    return squarefree_part(phi, name)
+
+
 def coordinate_min_poly(f: PolyMap, j) -> MPoly:
     """A nonzero relation between source coordinate j and the image
     variables, of minimal degree in that coordinate within the computed
     elimination basis among those whose leading coefficient does not
     vanish on the image; integer-primitive and squarefree in the
     coordinate.
+
+    Planar maps (``_is_planar``) take it from one resultant
+    (``_planar_relation``), every other map from its elimination basis
+    (``coordinate_min_poly_groebner``).  The two agree where both apply."""
+    if _is_planar(f):
+        return _planar_relation(f, j)
+    return coordinate_min_poly_groebner(f, j)
+
+
+def coordinate_min_poly_groebner(f: PolyMap, j) -> MPoly:
+    """The relation of coordinate j from its elimination basis
+    (``_min_poly``) on every map, planar or not; the Groebner side of the
+    cross-oracle for planar maps.
 
     On affine space no gcd is taken: the elimination ideal is prime, so
     every member of its reduced basis is irreducible (``_min_poly``)."""
@@ -275,23 +381,31 @@ def sf_compute(f: PolyMap) -> SfResult:
     ideal plus the squarefree part of that coefficient.  An empty result
     means the map is proper (finite over its image closure).
 
-    The image ideal J is read off the first coordinate's elimination basis
+    A planar map (``_is_planar``) is dominant, so J is the zero ideal, and
+    each relation is the principal generator of its elimination ideal,
+    taken from one resultant (``_planar_relation``, where the proof is).
+    Every other map reads J off the first coordinate's elimination basis
     (``_image_ideal``), so J costs no elimination of its own; it equals
-    ``image_closure(f)``.
+    ``image_closure(f)``.  On affine space each relation is then taken
+    from its basis without a squarefree gcd: the graph ideal is prime, so
+    every reduced basis member of an elimination ideal is irreducible
+    (``_min_poly``).
 
-    On affine space each relation is taken from its basis without a
-    squarefree gcd: the graph ideal is prime, so every reduced basis
-    member of an elimination ideal is irreducible (``_min_poly``).  Its
-    leading coefficient still goes through ``squarefree_full``, since an
-    irreducible relation can have a leading coefficient with repeated
-    factors (the criterion is Jelonek's, Ann. Polon. Math. 58, 1993).
+    Either way the leading coefficient goes through ``squarefree_full``,
+    since an irreducible relation can have a leading coefficient with
+    repeated factors (the criterion is Jelonek's, Ann. Polon. Math. 58,
+    1993).
     """
     yctx = f.image_context()
-    elims = [_coordinate_elimination(f, j) for j in range(f.n)]
-    J = _image_ideal(f, elims[0], f.ctx.names[0])
+    if _is_planar(f):
+        J = Ideal(yctx, [])  # the map is dominant
+        relations = [_planar_relation(f, j) for j in range(2)]
+    else:
+        elims = [_coordinate_elimination(f, j) for j in range(f.n)]
+        J = _image_ideal(f, elims[0], f.ctx.names[0])
+        relations = [_min_poly(f, elim, name) for name, elim in zip(f.ctx.names, elims)]
     coords = []
-    for name, elim in zip(f.ctx.names, elims):
-        phi = _min_poly(f, elim, name)
+    for name, phi in zip(f.ctx.names, relations):
         nj = phi.degree_in(name)
         lead = squarefree_full(phi.coeffs_in(name)[nj].rebase(yctx))
         coords.append(CoordinateData(name, phi, lead, nj))
@@ -413,14 +527,27 @@ def coordinate_min_poly_resultant(f: PolyMap, j) -> MPoly:
     return phi.rebase(sub).canonical()
 
 
+def _components_from(f, relation):
+    """Non-properness components from the image closure and the relation
+    ``relation(f, j)`` of each coordinate."""
+    yctx = f.image_context()
+    leads = []
+    for j, name in enumerate(f.ctx.names):
+        phi = relation(f, j)
+        lead = phi.coeffs_in(name)[phi.degree_in(name)].rebase(yctx)
+        leads.append(squarefree_full(lead))
+    return _assemble_components(image_closure(f), leads)
+
+
 def sf_components_resultant(f: PolyMap):
     """Non-properness components via the resultant path, for cross-oracle
     comparison with sf_compute."""
-    yctx = f.image_context()
-    J = image_closure(f)
-    leads = []
-    for j, name in enumerate(f.ctx.names):
-        phi = coordinate_min_poly_resultant(f, j)
-        lead = phi.coeffs_in(name)[phi.degree_in(name)].rebase(yctx)
-        leads.append(squarefree_full(lead))
-    return _assemble_components(J, leads)
+    return _components_from(f, coordinate_min_poly_resultant)
+
+
+def sf_components_groebner(f: PolyMap):
+    """Non-properness components via the elimination bases alone
+    (``coordinate_min_poly_groebner``), for cross-oracle comparison with
+    sf_compute on planar maps, whose relations share the resultant kernel
+    with ``sf_components_resultant``."""
+    return _components_from(f, coordinate_min_poly_groebner)

@@ -322,7 +322,13 @@ def track(f, target, path, tol=1e-8):
         resid = math.sqrt(sum(abs(complex(a - b)) ** 2 for a, b in zip(last_val, target)))
     except OverflowError:  # the last image point lies beyond float range
         resid = math.inf
-    scale = 1.0 + math.sqrt(sum(abs(complex(t)) ** 2 for t in target))
+    try:  # the limit estimate is translated back by the target in floats
+        shift = [complex(t) for t in target]
+        scale = 1.0 + math.sqrt(sum(abs(z) ** 2 for z in shift))
+    except OverflowError:
+        raise PreconditionError(
+            f"target ({', '.join(map(str, target))}) lies beyond float range"
+        ) from None
     if resid >= _RESIDUAL_TOL * scale:
         raise PreconditionError(
             f"path does not approach the target: final residual {resid:.3e}"
@@ -363,7 +369,7 @@ def track(f, target, path, tol=1e-8):
             status = "diverged"
     limit = ((0j,) * f.m,)
     if prev_norm is not None:
-        row0 = tuple(c + complex(t) for c, t in zip(prev_norm[0], target))
+        row0 = tuple(c + z for c, z in zip(prev_norm[0], shift))
         limit = (row0,) + prev_norm[1:]
     lambdas = tuple(s.lam for s in steps if s.in_regime)
     return LimitTrace(

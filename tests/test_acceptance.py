@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from nonproper.cli import main as cli_main
+from nonproper.corpus import cross_oracle_agree
 from nonproper.curves import (
     OneParamAction,
     ParametricCurve,
@@ -26,11 +27,11 @@ from nonproper.curves import (
     verify_curve,
 )
 from nonproper.errors import PreconditionError
-from nonproper.groebner import Ideal, dimension, vanishes_on
+from nonproper.groebner import Ideal, dimension
 from nonproper.mpoly import Context
 from nonproper.orders import LEX
 from nonproper.parser import parse_poly
-from nonproper.properness import PolyMap, sf_components_resultant, sf_compute, theorem_bound
+from nonproper.properness import PolyMap, sf_compute, theorem_bound
 from nonproper.tracker import PathSpec, rationalize_verify, track
 
 from sampling import images_mutually_close
@@ -340,25 +341,16 @@ def test_criterion_10_fixed_loci(capsys):
 
 
 def test_criterion_11_cross_oracle(sf_results):
-    ok = True
+    """sf_compute's set agrees up to radical with an independent path's on
+    every corpus map and proper control (``corpus.cross_oracle_agree``):
+    the Groebner relation path on planar maps, whose sf relations come
+    from the resultant kernel, and the resultant path otherwise."""
     details = []
     maps = {name: build() for name, (build, _) in CORPUS_MAPS.items()}
     maps.update({name: build() for name, build in PROPER_CONTROLS.items()})
     for name, f in maps.items():
-        sf = sf_results.get(name) or sf_compute(f)
-        res = sf_components_resultant(f)
-        if len(res) != len(sf.components):
-            ok = False
-            details.append(f"{name}: component count {len(sf.components)} vs {len(res)}")
-            continue
-        for c in sf.components:
-            matched = any(
-                all(vanishes_on(g, d) for g in c.canonical_generators() if not g.is_zero())
-                and all(vanishes_on(g, c) for g in d.canonical_generators() if not g.is_zero())
-                for d in res
-            )
-            if not matched:
-                ok = False
-                details.append(f"{name}: unmatched component")
-    record(11, ok, "; ".join(details) or
-           "resultant-path and elimination-path sets agree up to radical on all corpus maps")
+        ok, detail = cross_oracle_agree(f, sf_results.get(name) or sf_compute(f))
+        if not ok:
+            details.append(f"{name}: {detail}")
+    record(11, not details, "; ".join(details) or
+           "independent-path and sf sets agree up to radical on all corpus maps")

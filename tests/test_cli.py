@@ -288,6 +288,18 @@ class TestExitTaxonomy:
         assert code == 3 and report is None
         assert "path does not approach the target" in err
 
+    def test_track_target_beyond_float_range_is_3(self, capsys, tmp_path):
+        # the scale of the residual test converted 10^400 to a float (exit 1)
+        big = str(10 ** 400)
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["x", "y"], "map": ["x", "x*y"], "kmax": 20,
+            "targets": [[big, "1"]],
+            "paths": [{"point": [f"{big} + 1/k", f"1/({big} + 1/k)"]}],
+        })
+        code, report, err = run_cli(capsys, "track", path, "--quiet")
+        assert code == 3 and report is None
+        assert "beyond float range" in err and big in err
+
     def test_broken_action_is_3(self, capsys, tmp_path):
         path = write_problem(tmp_path, {
             "format": 1, "vars": ["x", "y"], "action": ["x + g^2", "y"],

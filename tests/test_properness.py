@@ -15,12 +15,14 @@ from nonproper.mpoly import Context, MPoly, squarefree_part
 from nonproper.orders import LEX
 from nonproper.parser import parse_poly
 from nonproper.problem import problem_from_dict
+from nonproper import properness
 from nonproper.properness import (
     PolyMap,
     _coordinate_elimination,
     _lowest_in,
     _relations,
     coordinate_min_poly,
+    coordinate_min_poly_groebner,
     coordinate_min_poly_resultant,
     graph_ideal,
     image_closure,
@@ -358,8 +360,8 @@ def affine_maps(draw):
 def test_reduced_basis_relations_are_squarefree_on_affine_space():
     """On affine space the graph ideal is prime, so each member of a
     coordinate elimination's reduced basis is irreducible and hence
-    squarefree in the coordinate; coordinate_min_poly, which takes no gcd
-    there, equals the squarefree part of the lowest basis relation.  A
+    squarefree in the coordinate; the Groebner relation path, which takes
+    no gcd there, equals the squarefree part of the lowest basis relation.  A
     draw that is not generically finite gives no verdict."""
     counts = {"verdicts": 0, "relations": 0, "non_principal": 0}
 
@@ -376,7 +378,8 @@ def test_reduced_basis_relations_are_squarefree_on_affine_space():
             for g in rels:
                 counts["relations"] += 1
                 assert squarefree_part(g, name) == g
-            assert coordinate_min_poly(f, j) == squarefree_part(_lowest_in(rels, name), name)
+            assert (coordinate_min_poly_groebner(f, j)
+                    == squarefree_part(_lowest_in(rels, name), name))
 
     check()
     assert counts["verdicts"] >= 100
@@ -384,17 +387,14 @@ def test_reduced_basis_relations_are_squarefree_on_affine_space():
     assert counts["non_principal"] >= 100
 
 
-def test_resultant_oracle_equals_groebner_relation_on_planar_maps():
-    """On affine space with m = n = 2 the resultant path, cut to its
-    squarefree part and divided by its content over Q[x_j], returns the
-    relation of the Groebner path.  Seeded draws: each component has up
-    to three terms of degree at most 3 and at times a linear term, with
-    coefficients -2, -1, 1 or 2.  A zero Jacobian gives no verdict."""
-    rng = random.Random(1)
+def planar_draws(seed, count):
+    """Seeded maps (x, y) -> (f1, f2): each component has up to three terms
+    of degree at most 3 and at times a linear term, with coefficients -2,
+    -1, 1 or 2."""
+    rng = random.Random(seed)
     monos = [e for e in product(range(4), repeat=2) if sum(e) <= 3]
     coeffs = (-2, -1, 1, 2)
-    verdicts = 0
-    for _ in range(60):
+    for _ in range(count):
         comps = []
         for _ in range(2):
             terms = {rng.choice(monos): rng.choice(coeffs) for _ in range(rng.randint(1, 3))}
@@ -402,12 +402,90 @@ def test_resultant_oracle_equals_groebner_relation_on_planar_maps():
                 linear = rng.choice(((1, 0), (0, 1)))
                 terms[linear] = terms.get(linear, 0) + rng.choice(coeffs)
             comps.append(MPoly(CXY, terms))
-        a, b = comps
-        jacobian = a.derivative("x") * b.derivative("y") - a.derivative("y") * b.derivative("x")
-        if jacobian.is_zero():
+        yield PolyMap(CXY, tuple(comps))
+
+
+def jacobian_is_zero(f):
+    (a, b), (c, d) = [[g.derivative(v) for v in f.ctx.names] for g in f.components]
+    return (a * d - b * c).is_zero()
+
+
+def test_resultant_oracle_equals_groebner_relation_on_planar_maps():
+    """On affine space with m = n = 2 the resultant path, cut to its
+    squarefree part and divided by its content over Q[x_j], returns the
+    relation of the Groebner path.  A zero Jacobian gives no verdict."""
+    verdicts = 0
+    for f in planar_draws(1, 60):
+        if jacobian_is_zero(f):
             continue
         verdicts += 1
-        f = PolyMap(CXY, tuple(comps))
         for j in range(2):
-            assert coordinate_min_poly_resultant(f, j) == coordinate_min_poly(f, j), (comps, j)
+            assert (coordinate_min_poly_resultant(f, j)
+                    == coordinate_min_poly_groebner(f, j)), (f.components, j)
     assert verdicts >= 50
+
+
+class TestPlanarRelation:
+    """sf_compute takes each relation of a planar map from one resultant
+    (``_planar_relation``); these tests hold it to the Groebner path."""
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        calls = []
+        exact = properness.squarefree_part
+        monkeypatch.setattr(properness, "squarefree_part",
+                            lambda p, name: calls.append(name) or exact(p, name))
+        return calls
+
+    def test_sf_relations_equal_groebner_relations(self, monkeypatch):
+        """Seeded draws: every planar relation of sf_compute equals the
+        explicit Groebner path's.  A zero Jacobian gives no verdict; a
+        relation whose certificate fails takes the squarefree_part
+        fallback, and both counts have floors."""
+        fallbacks = self.count_fallbacks(monkeypatch)
+        verdicts = 0
+        for f in planar_draws(2, 480):
+            if jacobian_is_zero(f):
+                continue
+            assert properness._is_planar(f)
+            verdicts += 1
+            sf = sf_compute(f)
+            for j, cd in enumerate(sf.coordinates):
+                assert cd.min_poly == coordinate_min_poly_groebner(f, j), (f.components, j)
+        assert verdicts >= 400
+        assert len(fallbacks) >= 30
+
+    def test_relation_with_a_square_takes_the_fallback(self, monkeypatch):
+        # Res_y(y^2 + 2 - y1, 2*x*y^2 - y2) = (2*x*(y1 - 2) - y2)^2, so the
+        # relation of x has k = 2; y^2 + 2 - y1 is free of x and is y's
+        fallbacks = self.count_fallbacks(monkeypatch)
+        f = pmap(CXY, "y^2 + 2", "2*x*y^2")
+        relations = [coordinate_min_poly(f, j) for j in range(2)]
+        assert "x" in fallbacks
+        assert [str(phi) for phi in relations] == ["2*x*y1 - 4*x - y2", "y^2 - y1 + 2"]
+        assert relations == [coordinate_min_poly_groebner(f, j) for j in range(2)]
+
+    def test_content_that_is_not_a_power_of_the_coordinate(self, monkeypatch):
+        divisions = []
+        exact = properness.udiv
+        monkeypatch.setattr(properness, "udiv",
+                            lambda a, b: divisions.append(b) or exact(a, b))
+        f = pmap(CXY, "-x*y - y^2 + x", "2*x^2*y - 2*x^2")
+        assert coordinate_min_poly(f, 1) == coordinate_min_poly_groebner(f, 1)
+        assert divisions and all(len(b) > 1 for b in divisions)
+
+    def test_zero_jacobian_takes_the_groebner_path(self, monkeypatch):
+        monkeypatch.setattr(properness, "_planar_relation", None)
+        f = pmap(CXY, "x + y", "(x + y)^2")
+        assert not properness._is_planar(f)
+        with pytest.raises(PreconditionError, match="not generically finite"):
+            sf_compute(f)
+
+    def test_jacobian_zero_at_every_point_tried_is_expanded(self):
+        # the determinant (x - 2)*(x - 5)*(x + 11) vanishes at every point
+        # of _JACOBIAN_POINTS and is still not identically zero
+        f = pmap(CXY, "x", "y*(x - 2)*(x - 5)*(x + 11)")
+        assert all(x in (2, 5, -11) for x, _ in properness._JACOBIAN_POINTS)
+        assert properness._is_planar(f)
+        for j in range(2):
+            assert coordinate_min_poly(f, j) == coordinate_min_poly_groebner(f, j)
