@@ -11,7 +11,6 @@ matrix; the acceptance test suite asserts the same checks individually.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
@@ -32,20 +31,19 @@ from .properness import (
     sf_compute,
     theorem_bound,
 )
+from .record import Record
 from .tracker import rationalize_verify, track
 
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     name: str
     problem: dict
     kind: str  # map | real-domain | action | control

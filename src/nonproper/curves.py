@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import BudgetError, PreconditionError
 from .groebner import Ideal, eliminate
@@ -40,6 +39,7 @@ from .mpoly import (
     resultant,
 )
 from .orders import GREVLEX, LEX
+from .record import Record
 from .unipoly import (
     Q,
     count_real_roots,
@@ -57,8 +57,7 @@ from .unipoly import (
 # -- parametric curves ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParametricCurve:
+class ParametricCurve(Record):
     """Polynomial map from the line into m-space with exact rational
     coefficients; coefficient i is the length-m vector of t^i.  This is
     the one vector-valued polynomial in t: covering curves, tracker image
@@ -170,8 +169,7 @@ def leading_behavior(curve):
 # -- ansatz systems --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnsatzSystem:
+class AnsatzSystem(Record):
     """Coefficient equations for curves of bounded degree through a base
     point inside a variety.
 
@@ -252,8 +250,7 @@ def ansatz_system(variety, a, d):
 # -- verification ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveReport:
+class CurveReport(Record):
     """Per-check outcome of verify_curve; everything is decided exactly."""
 
     equations_ok: bool
@@ -603,8 +600,7 @@ def no_smaller_curve(variety, a, d):
 # -- certificates ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniruledCertificate:
+class UniruledCertificate(Record):
     """Point-sampled evidence that a variety is covered by curves of
     bounded degree: one verified curve through each requested sample,
     with optional per-point minimality proofs."""
@@ -802,8 +798,7 @@ def curve_relations(curve, names=None):
 # -- one-parameter additive actions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneParamAction:
+class OneParamAction(Record):
     """A polynomial action of the additive group on a (possibly
     constrained) affine set: x maps to phi(g, x).
 

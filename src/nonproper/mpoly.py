@@ -28,7 +28,6 @@ forms bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from heapq import heapify, heappop, heappush
@@ -36,6 +35,7 @@ from operator import add, sub
 
 from .errors import PreconditionError
 from .orders import GREVLEX, MonomialOrder
+from .record import Record
 
 # -- term-dict kernels ---------------------------------------------------------
 
@@ -103,12 +103,11 @@ def _lead(p, order):
     return _primitive(p.leading_monomial(order), _clear_denominators(p.terms)[1])
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """Ordered variable names plus the context's default monomial order."""
 
     names: tuple
-    order: MonomialOrder = field(default=GREVLEX)
+    order: MonomialOrder = GREVLEX
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))

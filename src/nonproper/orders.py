@@ -9,9 +9,10 @@ larger for larger monomials.  Both are injective.  ``tag`` is a stable
 string used for basis caching.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, neg
+
+from .record import Record
 
 
 def _picker(positions):
@@ -24,7 +25,7 @@ def _picker(positions):
     return itemgetter(*positions) if positions else lambda exps: ()
 
 
-class MonomialOrder:
+class MonomialOrder(Record):
     tag = "abstract"
 
     def neg_key(self, exps):
@@ -38,7 +39,6 @@ class MonomialOrder:
         return f"<order {self.tag}>"
 
 
-@dataclass(frozen=True, repr=False)
 class GrevLex(MonomialOrder):
     tag = "grevlex"
 
@@ -47,7 +47,6 @@ class GrevLex(MonomialOrder):
         return (-sum(exps), *exps[::-1])
 
 
-@dataclass(frozen=True, repr=False)
 class Lex(MonomialOrder):
     tag = "lex"
 
@@ -55,7 +54,6 @@ class Lex(MonomialOrder):
         return tuple(map(neg, exps))
 
 
-@dataclass(frozen=True, repr=False)
 class BlockElim(MonomialOrder):
     """Eliminate the masked variables: compare their exponents grevlex
     first, then the remaining block grevlex.  Any monomial containing an

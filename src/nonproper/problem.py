@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import OneParamAction, ParametricCurve
@@ -23,6 +22,7 @@ from .mpoly import Context
 from .orders import GREVLEX, LEX
 from .parser import NAME, parse_poly, path_expression
 from .properness import PolyMap
+from .record import Record
 from .tracker import PathSpec
 
 FORMAT_VERSION = 1
@@ -76,8 +76,7 @@ def parse_curve(texts, mode):
     return ParametricCurve.from_coordinates(coords, mode)
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     """A problem file parsed once: polynomials over ``ctx``, points of
     Fractions, and the raw bytes for digesting.  The action, curve and path
     texts stay text, so only the commands that use them check them."""

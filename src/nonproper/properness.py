@@ -30,7 +30,6 @@ give the same canonical relation where both apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -49,6 +48,7 @@ from .mpoly import (
     squarefree_part,
 )
 from .orders import GREVLEX, LEX
+from .record import Record
 from .unipoly import udiv, ugcd
 
 
@@ -63,21 +63,20 @@ def _image_names(m, taken):
     return names
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(Record):
     """A polynomial map on an affine variety.
 
     ``domain`` is the ideal of the source variety inside the source
     context (the zero ideal for all of affine space); ``components`` are
     the coordinate functions.  ``mode`` is "complex" or "real" and only
-    affects how results are interpreted downstream.
+    affects how results are interpreted downstream.  ``image_names``
+    (y1 .. ym) is derived from the components and is not a field.
     """
 
     ctx: Context
     components: tuple
     domain: Ideal = None
     mode: str = "complex"
-    image_names: tuple = field(init=False)  # y1 .. ym
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -313,8 +312,7 @@ def coordinate_min_poly_groebner(f: PolyMap, j) -> MPoly:
     return _min_poly(f, _coordinate_elimination(f, j), f.ctx.names[j])
 
 
-@dataclass(frozen=True)
-class CoordinateData:
+class CoordinateData(Record):
     """Per-coordinate elimination result: the relation, its leading
     coefficient in the coordinate, and its coordinate degree."""
 
@@ -324,8 +322,7 @@ class CoordinateData:
     degree: int
 
 
-@dataclass(frozen=True)
-class SfResult:
+class SfResult(Record):
     """The computed non-properness set.
 
     ``components`` are ideals in the image context; their union is the

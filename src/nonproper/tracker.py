@@ -41,13 +41,13 @@ test; non-convergent runs are reported, never silently resampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .curves import ParametricCurve, common_inner, verify_curve
 from .errors import NonproperError, PreconditionError, VerificationError
 from .mpoly import _clear_denominators
 from .rationals import snap_rational
+from .record import Record
 from .unipoly import Q
 
 # a path's last point must map within this distance, relative to the
@@ -63,8 +63,7 @@ class ConstantCurveError(NonproperError):
     path avoids this)."""
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(Record):
     """A family of base points indexed by k.
 
     kind "radial": the whole point is scaled along the line (1-t)*x_k.
@@ -263,15 +262,13 @@ def unit_normalize(coeffs):
     return lam, scaled
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
     k: int
     lam: float  # nan when the step is out of regime
     in_regime: bool
 
 
-@dataclass(frozen=True)
-class LimitTrace:
+class LimitTrace(Record):
     """Everything a tracking run produced, exact and floating."""
 
     target: tuple
@@ -339,7 +336,7 @@ def track(f, target, path, tol=1e-8):
     status = None
     # the image curve of f - target is the image curve of f translated by
     # the target: the constants only reach the t^0 coefficient
-    shifted = replace(f, components=tuple(c - t for c, t in zip(f.components, target)))
+    shifted = f.replace(components=tuple(c - t for c, t in zip(f.components, target)))
     expand = _image_kernel(shifted, path.kind)
     for k, pt in zip(path.schedule, points):
         rows, dens = expand(pt)
@@ -383,8 +380,7 @@ def track(f, target, path, tol=1e-8):
     )
 
 
-@dataclass(frozen=True)
-class VerifiedLimit:
+class VerifiedLimit(Record):
     """Exact rational limit curve plus its decomposition through a common
     inner polynomial (the decomposed outer degree witnesses the degree
     bound)."""

@@ -17,6 +17,7 @@ from nonproper.mpoly import (
 )
 from nonproper.orders import GREVLEX, LEX, block_order
 from nonproper.parser import parse_poly
+from nonproper.record import Record
 
 from conftest import mpolys, small_fractions, small_nonzero
 
@@ -224,6 +225,46 @@ class TestResultant:
         r = resultant(p, q, "x")
         assert r.evaluate([0, 1]) == 0  # common root at x=1,y=1: r(y=1)=0
         assert r.evaluate([0, 2]) != 0
+
+
+class TestRecord:
+    """Context is the base Record; the orders are Records without fields."""
+
+    def test_fields_defaults_and_normalization(self):
+        assert Context(["x", "y"]) == Context(names=("x", "y"), order=GREVLEX) == XY
+        assert XY.names == ("x", "y") and XY.order is GREVLEX
+        assert repr(XYLEX) == "Context(names=('x', 'y'), order=<order lex>)"
+
+    def test_equality_and_hash_by_class_and_fields(self):
+        assert hash(Context(("x", "y"))) == hash(XY)
+        assert XY != XYLEX and LEX != GREVLEX
+        assert block_order(("x", "y"), ["x"]) == block_order(("x", "y"), ["x"])
+        assert block_order(("x", "y"), ["x"]) != block_order(("x", "y"), ["y"])
+
+        class Pair(Record):
+            names: tuple
+            order: object = GREVLEX
+
+        assert Pair(("x", "y")) != XY
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}),
+        ((("x",), LEX, 1), {}),
+        ((("x",),), {"names": ("y",)}),
+        ((("x",),), {"degree": 2}),
+    ])
+    def test_wrong_fields_raise(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Context(*args, **kwargs)
+
+    def test_immutable_and_replace_reruns_post_init(self):
+        with pytest.raises(AttributeError):
+            XY.names = ("u",)
+        with pytest.raises(AttributeError):
+            del XY.order
+        assert XY.replace(order=LEX) == XYLEX and XY.order is GREVLEX
+        with pytest.raises(ValueError, match="duplicate"):
+            XY.replace(names=["x", "x"])
 
 
 class TestContextMoves:

@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -241,7 +240,7 @@ SCHEDULES = [twist_target_path(d) for d in range(2, 9)] + [
 
 def shifted_map(f, target):
     """f - target, whose image curves are the ones track normalizes."""
-    return replace(f, components=tuple(c - Q(t) for c, t in zip(f.components, target)))
+    return f.replace(components=tuple(c - Q(t) for c, t in zip(f.components, target)))
 
 
 def schedule_rows(f, target, point_fn, kmax=40):
@@ -497,13 +496,23 @@ class TestTrackOracle:
             assert oracle_outcome(track(f, target, path)) == reference_track(f, target, path)
 
 
-def test_cli_import_leaves_numpy_out():
-    # the tracker computes in plain Python complex; numpy is test-only
+def cli_import_loads(module):
     src = str(Path(nonproper.__file__).resolve().parents[1])
-    code = "import sys, nonproper.cli; sys.exit('numpy' in sys.modules)"
+    code = f"import sys, nonproper.cli; sys.exit({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                           text=True)
-    assert proc.returncode == 0, proc.stderr or "importing nonproper.cli loaded numpy"
+    assert proc.returncode in (0, 1), proc.stderr
+    return proc.returncode == 1
+
+
+def test_cli_import_leaves_numpy_out():
+    # the tracker computes in plain Python complex; numpy is test-only
+    assert not cli_import_loads("numpy")
+
+
+def test_cli_import_leaves_inspect_out():
+    # record.Record stands in for dataclasses, whose import pulls in inspect
+    assert not cli_import_loads("dataclasses") and not cli_import_loads("inspect")
 
 
 class TestRationalizeVerify:
