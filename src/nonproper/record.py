@@ -29,19 +29,23 @@ class Record:
         cls._post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
+        # each field is set as an attribute, not through self.__dict__,
+        # which would turn the instance's inline attribute values into a
+        # plain dict and slow every later attribute read
         fields = self._fields
-        values = self.__dict__
-        values.update(zip(fields, args))
         if len(args) > len(fields) or kwargs and not (
-                kwargs.keys() <= self._field_set and kwargs.keys().isdisjoint(values)):
+                kwargs.keys() <= self._field_set and kwargs.keys().isdisjoint(fields[:len(args)])):
             raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
-        values.update(kwargs)
-        if len(values) < len(fields):
-            for f, default in self._defaults.items():
-                values.setdefault(f, default)
-            if len(values) < len(fields):
-                raise TypeError(f"{type(self).__name__}() missing fields "
-                                f"{[f for f in fields if f not in values]}")
+        for f, value in zip(fields, args):
+            object.__setattr__(self, f, value)
+        for f, value in kwargs.items():
+            object.__setattr__(self, f, value)
+        if len(args) + len(kwargs) < len(fields):
+            for f in fields[len(args):]:
+                if f not in kwargs:
+                    if f not in self._defaults:
+                        raise TypeError(f"{type(self).__name__}() missing field {f!r}")
+                    object.__setattr__(self, f, self._defaults[f])
         if self._post_init is not None:
             self._post_init()
 
@@ -52,8 +56,7 @@ class Record:
         raise AttributeError(f"cannot delete {name!r} of an immutable record")
 
     def _values(self):
-        values = self.__dict__
-        return tuple([values[f] for f in self._fields])
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
         if type(other) is not type(self):
