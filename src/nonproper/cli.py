@@ -4,9 +4,9 @@ Commands: sf, certify, track, decompose, fixlocus, bounds, examples.
 The machine-readable JSON report goes to stdout; a short human-readable
 rendering goes to stderr (silence it with --quiet).  Each command takes
 only the flags it reads (``COMMANDS``); any other flag is a usage error.
-Exit codes: 0 success, 1 internal error, 2 parse or usage error, 3
-precondition violation, 4 search failure, 5 verification failure, 6 work
-budget exhausted.
+Exit codes: 0 success, 1 internal error, 2 a usage error or an unreadable
+path, and for a package error the ``exit_code`` its class carries (the
+table is in ``errors``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .curves import (
     leading_behavior,
 )
 from .errors import (
-    BudgetError,
     NonproperError,
     ParseError,
     PreconditionError,
@@ -49,11 +48,6 @@ from .tracker import rationalize_verify, track
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_SEARCH = 4
-EXIT_VERIFY = 5
-EXIT_BUDGET = 6
 
 
 def _say(args, *lines):
@@ -173,7 +167,7 @@ def cmd_certify(args, prob):
     _say(args, f"certificate for the {what}: {cert.status} at degree {degree}")
     for pt, c in cert.entries:
         _say(args, f"  {tuple(map(str, pt))} -> {c if c is not None else 'no curve found'}")
-    return result, checks, EXIT_OK if cert.status == "verified" else EXIT_SEARCH
+    return result, checks, EXIT_OK if cert.status == "verified" else SearchError.exit_code
 
 
 def cmd_track(args, prob):
@@ -216,7 +210,7 @@ def cmd_track(args, prob):
                 run["outer_degree"] = verified.outer_degree
                 checks.append((f"exact_verification[{idx}]", True, ""))
             else:
-                worst = max(worst, EXIT_VERIFY)
+                worst = max(worst, VerificationError.exit_code)
             runs.append(run)
             if csvs:
                 _write_csv(csvs[idx], trace)
@@ -296,7 +290,8 @@ def cmd_examples(args, _prob):
         for c in checks:
             if not c.ok:
                 _say(args, f"    failed: {c.name} {c.detail}")
-    return {"matrix": matrix}, [("all_pass", all_ok, "")], EXIT_OK if all_ok else EXIT_VERIFY
+    code = EXIT_OK if all_ok else VerificationError.exit_code
+    return {"matrix": matrix}, [("all_pass", all_ok, "")], code
 
 
 def _count(text, lo=1, hi=None):
@@ -393,27 +388,12 @@ def main(argv=None):
         digest = prob.digest() if prob else _CORPUS_DIGEST
         _emit(make_report(args.command, digest, result, checks, timings))
         return code
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as e:  # a missing or unreadable input or output path
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as e:
-        print(f"precondition violation: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SearchError as e:
-        print(f"search failure: {e}", file=sys.stderr)
-        return EXIT_SEARCH
-    except VerificationError as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return EXIT_VERIFY
-    except BudgetError as e:
-        print(f"budget exhausted: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except NonproperError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:  # a missing or unreadable input or output path
+        print(f"{ParseError.label}: {e}", file=sys.stderr)
+        return ParseError.exit_code
     except Exception as e:  # a bug, not a bad input: one line, no traceback
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

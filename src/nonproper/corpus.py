@@ -24,10 +24,8 @@ from .errors import PreconditionError
 from .groebner import vanishes_on
 from .problem import parse_curve, problem_from_dict
 from .properness import (
-    _is_planar,
+    independent_components,
     is_proper_at,
-    sf_components_groebner,
-    sf_components_resultant,
     sf_compute,
     theorem_bound,
 )
@@ -60,16 +58,10 @@ def _components_match(sf, expected):
 
 
 def cross_oracle_agree(f, sf):
-    """Component-wise radical agreement between sf_compute's set and an
-    independent path's.
-
-    Planar maps (n = m = 2 on affine space with a Jacobian determinant not
-    identically zero) get their relations in sf_compute from the resultant
-    kernel that ``sf_components_resultant`` shares, so they are compared
-    with the Groebner relation path, ``sf_components_groebner``.  Every
-    other map gets its relations from elimination bases and is compared
-    with the resultant path."""
-    other = (sf_components_groebner if _is_planar(f) else sf_components_resultant)(f)
+    """Component-wise radical agreement between sf_compute's set and the
+    set of the relation path sf_compute did not take
+    (``independent_components``)."""
+    other = independent_components(f)
     if len(other) != len(sf.components):
         return False, f"{len(sf.components)} vs {len(other)} components"
 

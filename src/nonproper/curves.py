@@ -35,6 +35,8 @@ from .mpoly import (
     MPoly,
     _clear_denominators,
     _primitive,
+    _rows,
+    _unrows,
     expand_along,
     resultant,
 )
@@ -410,23 +412,13 @@ def _power_table(v, top):
     return [p ** k * q ** (top - k) for k in range(top + 1)]
 
 
-def _int_rows(terms, pos):
-    """An int term dict as a polynomial in unknown ``pos``: row e lists the
-    (monomial with exponent 0 at pos, coefficient) pairs of its terms of
-    degree e in that unknown, like ``MPoly.coeffs_in``."""
-    rows = [[] for _ in range(1 + max(m[pos] for m in terms))]
-    for m, c in terms.items():
-        rows[m[pos]].append((m[:pos] + (0,) + m[pos + 1:], c))
-    return rows
-
-
 def _row_value(row, tables):
-    """The value of (monomial, int coefficient) pairs at a rational point,
-    times the positive scale prod_j q_j^top_j, where tables[j] is
+    """The value of an int term dict at a rational point, times the
+    positive scale prod_j q_j^top_j, where tables[j] is
     ``_power_table(p_j/q_j, top_j)`` and top_j bounds every exponent of
     unknown j."""
     total = 0
-    for m, c in row:
+    for m, c in row.items():
         for tab, e in zip(tables, m):
             c *= tab[e]
         total += c
@@ -439,12 +431,12 @@ def _ansatz_solutions(system):
     free coefficients (then random ones from a fixed-seed generator).
     Best-effort by design: silence does not prove emptiness.
 
-    Each basis element becomes int rows once, one row per power of its
-    first-named unknown.  A node evaluates the rows at the assignment,
-    unassigned unknowns at 0, as ints scaled by one positive factor
-    (``_row_value``), so each coefficient list has the zeros, the degree
-    and the rational roots of its exact value, and the search takes the
-    same steps as over ``Fraction``."""
+    Each basis element becomes int rows once (``_rows``), one row per
+    power of its first-named unknown.  A node evaluates the rows at the
+    assignment, unassigned unknowns at 0, as ints scaled by one positive
+    factor (``_row_value``), so each coefficient list has the zeros, the
+    degree and the rational roots of its exact value, and the search takes
+    the same steps as over ``Fraction``."""
     basis = system.ideal.groebner(LEX)
     if basis == [system.bctx.one()]:  # the unit ideal
         return
@@ -460,7 +452,7 @@ def _ansatz_solutions(system):
     relevant = [[] for _ in names]
     for t in lex:
         pos = min(i for mono in t for i, e in enumerate(mono) if e)
-        relevant[pos].append(_int_rows(t, pos))
+        relevant[pos].append(_rows(t, pos))
     tables = [_power_table(0, top) for top in tops]
     rng = random.Random(0)
     budget = [_NODE_BUDGET]
@@ -478,7 +470,7 @@ def _ansatz_solutions(system):
             return
         budget[0] -= 1
         if pos < 0:
-            if all(_row_value(t.items(), tables) == 0 for t in gens):
+            if all(_row_value(t, tables) == 0 for t in gens):
                 yielded[0] += 1
                 yield dict(assign)
             return
@@ -760,7 +752,9 @@ def _min_of_even_poly(g):
 
 
 def _embed_scalar(cs, ctx, name):
-    return MPoly.from_coeffs_in(ctx, name, [ctx.const(c) for c in cs])
+    """The coefficient list cs as a polynomial in variable ``name`` of ctx."""
+    zero = (0,) * ctx.arity
+    return _unrows(ctx, [{zero: c} for c in cs], ctx.index(name))
 
 
 def cover_image_real(curve):

@@ -282,9 +282,6 @@ class MPoly:
         order = order or self.ctx.order
         return min(self.terms, key=order.neg_key)
 
-    def leading_coeff(self, order=None):
-        return self.terms[self.leading_monomial(order)]
-
     def constant_value(self):
         """The Fraction value if constant, else None."""
         if not self.terms:
@@ -326,30 +323,11 @@ class MPoly:
         return MPoly(target_ctx, expand_along(self, coords, target_ctx.arity))
 
     def coeffs_in(self, name):
-        """Coefficients of powers of one variable, as MPoly in the same
-        context (index = power of the variable)."""
+        """Coefficients of powers of one variable (index = power; ``_rows``),
+        as MPoly in the same context; [0] for the zero polynomial."""
         i = self.ctx.index(name)
-        d = self.degree_in(name)
-        buckets = [dict() for _ in range(d + 1)]
-        for m, c in self.terms.items():
-            e = m[i]
-            rest = list(m)
-            rest[i] = 0
-            buckets[e][tuple(rest)] = c
-        return [MPoly(self.ctx, b) for b in buckets]
-
-    @staticmethod
-    def from_coeffs_in(ctx, name, coeffs):
-        i = ctx.index(name)
-        out = {}
-        for e, p in enumerate(coeffs):
-            for m, c in p.terms.items():
-                if m[i] != 0:
-                    raise ValueError("coefficient polynomial involves the variable itself")
-                mm = list(m)
-                mm[i] = e
-                out[tuple(mm)] = out.get(tuple(mm), 0) + c
-        return MPoly(ctx, out)
+        rows = _rows(self.terms, i) if self.terms else [{}]
+        return [MPoly(self.ctx, row) for row in rows]
 
     def derivative(self, name):
         i = self.ctx.index(name)
@@ -501,7 +479,8 @@ def _idiv(p, q):
 
 
 def _rows(terms, i):
-    """An int term dict as rows in variable i."""
+    """A nonempty term dict as rows in variable i, the one split of a
+    polynomial by powers of a variable; ``_unrows`` joins them again."""
     rows = [{} for _ in range(max(m[i] for m in terms) + 1)]
     for m, c in terms.items():
         rows[m[i]][m[:i] + (0,) + m[i + 1:]] = c

@@ -26,6 +26,10 @@ elimination at all: its image ideal is zero.  Every other map (domain
 equations, m != n, n >= 3, a zero Jacobian) takes its relations and its
 image ideal from block-order elimination bases (``_min_poly``).  Both
 give the same canonical relation where both apply.
+
+Only this module makes the choice: ``sf_compute`` takes the path above,
+and the cross-oracle ``independent_components`` the other one, so the two
+share no relation kernel.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .mpoly import (
     _coprime_image,
     _quotient,
     _resultant_rows,
+    _rows,
     resultant,
     squarefree_full,
     squarefree_part,
@@ -171,9 +176,9 @@ def _lowest_in(polys, name):
 
 
 def _min_poly(f, elim, name):
-    """The relation of coordinate_min_poly, taken from the coordinate's
-    elimination basis: the path of every map that is not planar
-    (``_is_planar``), and the Groebner side of the planar cross-oracle.
+    """The relation of a coordinate, taken from its elimination basis: the
+    path of every map that is not planar (``_is_planar``), and the
+    Groebner side of the planar cross-oracle (``independent_components``).
 
     On affine space the lowest relation is returned as it is.  The graph
     ideal is prime there, so the elimination ideal I is prime too.  If a
@@ -209,21 +214,14 @@ def _min_poly(f, elim, name):
     )
 
 
-_JACOBIAN_POINTS = ((2, 3), (5, -7), (-11, 13))
-
-
 def _is_planar(f):
     """True for n = m = 2 on affine space with a Jacobian determinant that
     is not identically zero, the maps whose relations ``_planar_relation``
-    computes.  The determinant is evaluated at a few integer points first
-    and expanded only if it vanishes at all of them."""
+    computes.  The determinant is expanded exactly."""
     if f.n != 2 or f.m != 2 or not f.domain_is_affine_space():
         return False
     (a, b), (c, d) = [[g.derivative(v) for v in f.ctx.names] for g in f.components]
-    if any(a.evaluate(pt) * d.evaluate(pt) != b.evaluate(pt) * c.evaluate(pt)
-           for pt in _JACOBIAN_POINTS):
-        return True
-    return not (a * d - b * c).is_zero()
+    return a * d != b * c
 
 
 def _planar_relation(f, j):
@@ -259,12 +257,12 @@ def _planar_relation(f, j):
     name, o = f.ctx.names[j], 1 - j
     gens = []
     for k, comp in enumerate(f.components):
+        # D*(f_k - y_k) keyed (x_j, y_1, y_2); x_o's exponent borrows the
+        # slot of the image variable it lacks, which _rows then clears
         den, terms = _clear_denominators(comp.terms)
-        rows = [{} for _ in range(max(m[o] for m in terms) + 1)]
-        for m, c in terms.items():
-            rows[m[o]][(m[j], 0, 0)] = c
-        rows[0][(0, 1, 0) if k == 0 else (0, 0, 1)] = -den
-        gens.append(rows)
+        g = {(m[j], m[o], 0) if k else (m[j], 0, m[o]): c for m, c in terms.items()}
+        g[(0, 0, 1) if k else (0, 1, 0)] = -den
+        gens.append(_rows(g, 2 - k))
     free = [rows[0] for rows in gens if len(rows) == 1]
     R = free[0] if free else _resultant_rows(*gens)
     low = min(m[0] for m in R)
@@ -287,25 +285,10 @@ def _planar_relation(f, j):
     return squarefree_part(phi, name)
 
 
-def coordinate_min_poly(f: PolyMap, j) -> MPoly:
-    """A nonzero relation between source coordinate j and the image
-    variables, of minimal degree in that coordinate within the computed
-    elimination basis among those whose leading coefficient does not
-    vanish on the image; integer-primitive and squarefree in the
-    coordinate.
-
-    Planar maps (``_is_planar``) take it from one resultant
-    (``_planar_relation``), every other map from its elimination basis
-    (``coordinate_min_poly_groebner``).  The two agree where both apply."""
-    if _is_planar(f):
-        return _planar_relation(f, j)
-    return coordinate_min_poly_groebner(f, j)
-
-
 def coordinate_min_poly_groebner(f: PolyMap, j) -> MPoly:
     """The relation of coordinate j from its elimination basis
     (``_min_poly``) on every map, planar or not; the Groebner side of the
-    cross-oracle for planar maps.
+    cross-oracle for planar maps (``independent_components``).
 
     On affine space no gcd is taken: the elimination ideal is prime, so
     every member of its reduced basis is irreducible (``_min_poly``)."""
@@ -345,6 +328,14 @@ class SfResult(Record):
         return [[str(g) for g in comp.canonical_generators()] for comp in self.components]
 
 
+def _leads(f, relations):
+    """The squarefree canonical leading coefficient, in the image context,
+    of each coordinate's relation in that coordinate."""
+    yctx = f.image_context()
+    return [squarefree_full(phi.coeffs_in(name)[phi.degree_in(name)].rebase(yctx))
+            for name, phi in zip(f.ctx.names, relations)]
+
+
 def _assemble_components(J, leads):
     """Components of the non-properness set from the image ideal J and the
     squarefree canonical leading coefficients of the coordinates.
@@ -378,35 +369,35 @@ def sf_compute(f: PolyMap) -> SfResult:
     ideal plus the squarefree part of that coefficient.  An empty result
     means the map is proper (finite over its image closure).
 
-    A planar map (``_is_planar``) is dominant, so J is the zero ideal, and
-    each relation is the principal generator of its elimination ideal,
-    taken from one resultant (``_planar_relation``, where the proof is).
-    Every other map reads J off the first coordinate's elimination basis
-    (``_image_ideal``), so J costs no elimination of its own; it equals
-    ``image_closure(f)``.  On affine space each relation is then taken
-    from its basis without a squarefree gcd: the graph ideal is prime, so
-    every reduced basis member of an elimination ideal is irreducible
-    (``_min_poly``).
+    This is the one relation dispatcher.  A relation is integer-primitive
+    and squarefree in its coordinate, of least degree in it among the
+    computed relations whose leading coefficient does not vanish on the
+    image.  A planar map (``_is_planar``) is dominant, so J is the zero
+    ideal, and each relation is the principal generator of its elimination
+    ideal, taken from one resultant (``_planar_relation``, where the proof
+    is).  Every other map reads J off the first coordinate's elimination
+    basis (``_image_ideal``), so J costs no elimination of its own; it
+    equals ``image_closure(f)``.  On affine space each relation is then
+    taken from its basis without a squarefree gcd: the graph ideal is
+    prime, so every reduced basis member of an elimination ideal is
+    irreducible (``_min_poly``).
 
-    Either way the leading coefficient goes through ``squarefree_full``,
-    since an irreducible relation can have a leading coefficient with
-    repeated factors (the criterion is Jelonek's, Ann. Polon. Math. 58,
-    1993).
+    Either way the leading coefficient goes through ``squarefree_full``
+    (``_leads``), since an irreducible relation can have a leading
+    coefficient with repeated factors (the criterion is Jelonek's, Ann.
+    Polon. Math. 58, 1993).
     """
-    yctx = f.image_context()
     if _is_planar(f):
-        J = Ideal(yctx, [])  # the map is dominant
+        J = Ideal(f.image_context(), [])  # the map is dominant
         relations = [_planar_relation(f, j) for j in range(2)]
     else:
         elims = [_coordinate_elimination(f, j) for j in range(f.n)]
         J = _image_ideal(f, elims[0], f.ctx.names[0])
         relations = [_min_poly(f, elim, name) for name, elim in zip(f.ctx.names, elims)]
-    coords = []
-    for name, phi in zip(f.ctx.names, relations):
-        nj = phi.degree_in(name)
-        lead = squarefree_full(phi.coeffs_in(name)[nj].rebase(yctx))
-        coords.append(CoordinateData(name, phi, lead, nj))
-    components = _assemble_components(J, [cd.lead_coeff for cd in coords])
+    leads = _leads(f, relations)
+    coords = [CoordinateData(name, phi, lead, phi.degree_in(name))
+              for name, phi, lead in zip(f.ctx.names, relations, leads)]
+    components = _assemble_components(J, leads)
     dim_image = dimension(J)
     hypersurface_ok = all(dimension(c) == dim_image - 1 for c in components)
     return SfResult(
@@ -496,9 +487,10 @@ def _eliminate_var_resultants(polys, name):
 
 
 def coordinate_min_poly_resultant(f: PolyMap, j) -> MPoly:
-    """Resultant-path analogue of coordinate_min_poly, used as an
-    independent oracle: iterated resultants eliminate the other source
-    variables, and the lowest result is cut to its squarefree part in x_j.
+    """Resultant-path analogue of sf_compute's relation of coordinate j,
+    used as an independent oracle: iterated resultants eliminate the other
+    source variables, and the lowest result is cut to its squarefree part
+    in x_j.
 
     On affine space that part is divided by its content over Q[x_j].  x_j
     is transcendental there, so the irreducible relation has no factor in
@@ -527,13 +519,8 @@ def coordinate_min_poly_resultant(f: PolyMap, j) -> MPoly:
 def _components_from(f, relation):
     """Non-properness components from the image closure and the relation
     ``relation(f, j)`` of each coordinate."""
-    yctx = f.image_context()
-    leads = []
-    for j, name in enumerate(f.ctx.names):
-        phi = relation(f, j)
-        lead = phi.coeffs_in(name)[phi.degree_in(name)].rebase(yctx)
-        leads.append(squarefree_full(lead))
-    return _assemble_components(image_closure(f), leads)
+    relations = [relation(f, j) for j in range(f.n)]
+    return _assemble_components(image_closure(f), _leads(f, relations))
 
 
 def sf_components_resultant(f: PolyMap):
@@ -542,9 +529,11 @@ def sf_components_resultant(f: PolyMap):
     return _components_from(f, coordinate_min_poly_resultant)
 
 
-def sf_components_groebner(f: PolyMap):
-    """Non-properness components via the elimination bases alone
-    (``coordinate_min_poly_groebner``), for cross-oracle comparison with
-    sf_compute on planar maps, whose relations share the resultant kernel
-    with ``sf_components_resultant``."""
-    return _components_from(f, coordinate_min_poly_groebner)
+def independent_components(f: PolyMap):
+    """Non-properness components from the relation path sf_compute did not
+    take, for the cross-oracle: elimination bases for a planar map, whose
+    sf_compute relations share ``sf_components_resultant``'s kernel, and
+    iterated resultants for every other map."""
+    if _is_planar(f):
+        return _components_from(f, coordinate_min_poly_groebner)
+    return sf_components_resultant(f)

@@ -13,7 +13,6 @@ from nonproper.curves import (
     OneParamAction,
     ParametricCurve,
     _ansatz_solutions,
-    _int_rows,
     _power_table,
     _rational_roots,
     _row_value,
@@ -34,7 +33,7 @@ from nonproper.curves import (
 )
 from nonproper.errors import BudgetError, PreconditionError
 from nonproper.groebner import Ideal, buchberger, vanishes_on
-from nonproper.mpoly import Context, MPoly, _lead
+from nonproper.mpoly import Context, MPoly, _lead, _rows
 from nonproper.orders import LEX
 from nonproper.parser import parse_poly
 from nonproper.unipoly import ueval
@@ -242,7 +241,7 @@ class TestIntRows:
         tables = [_power_table(v, top) for v, top in zip(point, tops)]
         scale = math.prod(v.denominator ** top for v, top in zip(point, tops))
         coeffs = MPoly(ctx, terms).coeffs_in(ctx.names[pos])
-        rows = _int_rows(terms, pos)
+        rows = _rows(terms, pos)
         assert len(rows) == len(coeffs)
         for row, coeff in zip(rows, coeffs):
             assert _row_value(row, tables) == coeff.evaluate(point) * scale

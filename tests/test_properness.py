@@ -21,11 +21,11 @@ from nonproper.properness import (
     _coordinate_elimination,
     _lowest_in,
     _relations,
-    coordinate_min_poly,
     coordinate_min_poly_groebner,
     coordinate_min_poly_resultant,
     graph_ideal,
     image_closure,
+    independent_components,
     is_proper_at,
     sf_components_resultant,
     sf_compute,
@@ -111,15 +111,15 @@ class TestGenericallyFinite:
 
 class TestCoordinateMinPoly:
     def test_scaling_second_coordinate(self):
-        phi = coordinate_min_poly(scaling_n2(), 1)
+        phi = sf_compute(scaling_n2()).coordinates[1].min_poly
         assert str(phi) == "x2*y1 - y2"
 
     def test_twist_first_coordinate(self):
-        phi = coordinate_min_poly(twist(2), 0)
+        phi = sf_compute(twist(2)).coordinates[0].min_poly
         assert str(phi) == "x - y1 + y2^2"
 
     def test_twist_second_coordinate(self):
-        phi = coordinate_min_poly(twist(2), 1)
+        phi = sf_compute(twist(2)).coordinates[1].min_poly
         # (y1 - y2^2) * y - y2, leading y-coefficient y1 - y2^2
         assert phi.degree_in("y") == 1
         lead = phi.coeffs_in("y")[1]
@@ -128,7 +128,7 @@ class TestCoordinateMinPoly:
 
     def test_not_generically_finite_errors(self):
         with pytest.raises(PreconditionError):
-            coordinate_min_poly(pmap(C2, "x1"), 1)
+            sf_compute(pmap(C2, "x1"))
 
 
 class TestSfCompute:
@@ -220,7 +220,7 @@ class TestTheoremBound:
 class TestCrossOracle:
     def test_min_polys_agree_on_scaling(self):
         f = scaling_n2()
-        a = coordinate_min_poly(f, 1)
+        a = sf_compute(f).coordinates[1].min_poly
         b = coordinate_min_poly_resultant(f, 1)
         assert a.canonical() == b.rebase(a.ctx).canonical()
 
@@ -242,6 +242,24 @@ class TestCrossOracle:
                     and all(vanishes_on(g, c) for g in d.canonical_generators())
                     for d in res
                 )
+
+    @pytest.mark.parametrize("comps, forbidden", [
+        # planar: sf_compute took the resultant kernel, so the check must not
+        (("x + (x*y)^2", "x*y"), "coordinate_min_poly_resultant"),
+        # three variables: sf_compute took elimination bases, so the check must not
+        (("x + (x*y)^2", "x*y", "z + x"), "coordinate_min_poly_groebner"),
+    ], ids=["planar", "three_variables"])
+    def test_independent_components_take_the_other_path(self, monkeypatch, comps, forbidden):
+        ctx = CXY if len(comps) == 2 else Context(("x", "y", "z"))
+        f = pmap(ctx, *comps)
+        want = sf_compute(f).component_strings()
+
+        def refuse(f, j):
+            raise AssertionError(f"{forbidden} called")
+
+        monkeypatch.setattr(properness, forbidden, refuse)
+        got = independent_components(f)
+        assert [[str(g) for g in c.canonical_generators()] for c in got] == want == [["y1 - y2^2"]]
 
 
 class TestDenseMap:
@@ -460,7 +478,7 @@ class TestPlanarRelation:
         # relation of x has k = 2; y^2 + 2 - y1 is free of x and is y's
         fallbacks = self.count_fallbacks(monkeypatch)
         f = pmap(CXY, "y^2 + 2", "2*x*y^2")
-        relations = [coordinate_min_poly(f, j) for j in range(2)]
+        relations = [cd.min_poly for cd in sf_compute(f).coordinates]
         assert "x" in fallbacks
         assert [str(phi) for phi in relations] == ["2*x*y1 - 4*x - y2", "y^2 - y1 + 2"]
         assert relations == [coordinate_min_poly_groebner(f, j) for j in range(2)]
@@ -471,7 +489,7 @@ class TestPlanarRelation:
         monkeypatch.setattr(properness, "udiv",
                             lambda a, b: divisions.append(b) or exact(a, b))
         f = pmap(CXY, "-x*y - y^2 + x", "2*x^2*y - 2*x^2")
-        assert coordinate_min_poly(f, 1) == coordinate_min_poly_groebner(f, 1)
+        assert sf_compute(f).coordinates[1].min_poly == coordinate_min_poly_groebner(f, 1)
         assert divisions and all(len(b) > 1 for b in divisions)
 
     def test_zero_jacobian_takes_the_groebner_path(self, monkeypatch):
@@ -482,10 +500,9 @@ class TestPlanarRelation:
             sf_compute(f)
 
     def test_jacobian_zero_at_every_point_tried_is_expanded(self):
-        # the determinant (x - 2)*(x - 5)*(x + 11) vanishes at every point
-        # of _JACOBIAN_POINTS and is still not identically zero
+        # the determinant (x - 2)*(x - 5)*(x + 11) vanishes at three
+        # integer points and is still not identically zero
         f = pmap(CXY, "x", "y*(x - 2)*(x - 5)*(x + 11)")
-        assert all(x in (2, 5, -11) for x, _ in properness._JACOBIAN_POINTS)
         assert properness._is_planar(f)
-        for j in range(2):
-            assert coordinate_min_poly(f, j) == coordinate_min_poly_groebner(f, j)
+        for j, cd in enumerate(sf_compute(f).coordinates):
+            assert cd.min_poly == coordinate_min_poly_groebner(f, j)
