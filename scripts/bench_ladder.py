@@ -6,7 +6,8 @@
 Each revision is exported with ``git archive`` into a temporary directory.
 For each side the script records:
 
-- ``perfbench/run.py`` (``--trace 0``, SECONDS per run) on every workload
+- ``perfbench/run.py`` (``--trace 0``, for ``BENCHMARK.json``'s
+  ``run_seconds`` per run, the benchmark's own run length) on every workload
   and seed, PAIRS runs per side, the sides alternating run by run and the
   order flipping every pair, so a drift in host speed spreads over both.
   Each end-to-end metric of ``BENCHMARK.json`` gets the quartiles of each
@@ -48,7 +49,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("elim", "certify", "track")
 SEEDS = (1, 2)
-SECONDS = 15
 PAIRS = 10
 CASE_RUNS = 5
 CAP_S = 60
@@ -66,10 +66,11 @@ def _sf_case(components, names=("x", "y")):
             "sf_compute(f)")
 
 
-def _twist_certify_case(d):
-    """(name, setup code, timed expression) of certify --sharpness on the
-    twist component y1 - y2^d at (0, 0) and (1, 1)."""
-    return (f"certify --sharpness y1 - y2^{d} at (0,0), (1,1)",
+def _twist_certify_case(d, sharpness):
+    """(name, setup code, timed expression) of certify, with or without
+    --sharpness, on the twist component y1 - y2^d at (0, 0) and (1, 1)."""
+    flag = " --sharpness" if sharpness else ""
+    return (f"certify{flag} y1 - y2^{d} at (0,0), (1,1)",
             "from nonproper.curves import certify\n"
             "from nonproper.groebner import Ideal\n"
             "from nonproper.mpoly import Context\n"
@@ -77,7 +78,7 @@ def _twist_certify_case(d):
             "from nonproper.parser import parse_poly\n"
             "C = Context(('y1', 'y2'), LEX)\n"
             f"V = Ideal(C, [parse_poly('y1 - y2^{d}', C)])",
-            f"certify(V, (), {d}, [(0, 0), (1, 1)], sharpness=True)")
+            f"certify(V, (), {d}, [(0, 0), (1, 1)], sharpness={sharpness})")
 
 
 def _twist_track_case(d):
@@ -114,7 +115,7 @@ CASES = (
     _sf_case(["x^6*y^3 + x - y", "x^3*y^4 + 2*y^2 + x"]),
     _sf_case(["x^7*y^4 + x - y", "x^4*y^5 + 2*y^2 + x"]),
     _sf_case(["x^2*y*z + x - y", "y^2*z + x*z + y", "z^2*x + y - 1"], ("x", "y", "z")),
-    *(_twist_certify_case(d) for d in (3, 4, 5)),
+    *(_twist_certify_case(d, sharpness) for d in (3, 4, 5) for sharpness in (True, False)),
     *(_twist_track_case(d) for d in (4, 8, 12)),
 )
 
@@ -141,11 +142,11 @@ def export(rev, dest):
     return _git("log", "-1", "--format=%h %s", rev).decode().strip()
 
 
-def perfbench(checkout, workload, seed):
+def perfbench(checkout, workload, seed, seconds):
     """The result line of one perfbench run, or None if it printed none."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     ).stdout.strip().splitlines()
     return json.loads(out[-1]) if out else None
@@ -203,7 +204,8 @@ def main(argv=None):
     ap.add_argument("--before", required=True, help="git revision of the before side")
     ap.add_argument("--after", required=True, help="git revision of the after side")
     args = ap.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     case_bound = next(m["bound"] for m in metrics if m["name"] == "job_p50_s")
     with tempfile.TemporaryDirectory() as tmp:
         checkouts, sides = {}, {}
@@ -218,7 +220,7 @@ def main(argv=None):
                     for side in (("before", "after") if i % 2 == 0 else ("after", "before")):
                         print(f"perfbench {workload} seed {seed} pair {i + 1} {side}",
                               file=sys.stderr)
-                        runs[side].append(perfbench(checkouts[side], workload, seed))
+                        runs[side].append(perfbench(checkouts[side], workload, seed, seconds))
                 bench[f"{workload} seed {seed}"] = summarize(runs, metrics)
         cases = []
         for name, setup, expr in CASES:
@@ -248,7 +250,7 @@ def main(argv=None):
         "command": f"python3 scripts/bench_ladder.py --before {args.before} --after {args.after}",
         "sides": sides,
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "perfbench": {"seconds": SECONDS, "pairs": PAIRS,
+        "perfbench": {"seconds": seconds, "pairs": PAIRS,
                       "quartiles": "[q1, median, q3] of each side's runs",
                       "runs": bench},
         "cases": {"cap_s": CAP_S, "runs": CASE_RUNS,

@@ -17,7 +17,11 @@ kernel: the line test, the integer-primitive ansatz equations and the
 back-substitution over the lex basis (each node evaluates int rows, scaled
 by one positive factor).  A positive scale changes no zero, degree or
 rational root, so the search visits the same nodes as in ``Fraction``
-arithmetic.  The minimality proof reads only the leading monomials of a
+arithmetic.  ``certify`` proves minimality from the curve it found where
+it can: a curve of degree below the target is a witness, and a curve that
+properly parametrizes a squarefree plane V(g) bounds every curve in V(g)
+from below, decided by one resultant and no basis (``_proper_degree``).
+Elsewhere ``no_smaller_curve`` reads only the leading monomials of a
 grevlex basis.  What is claimed is still checked in ``Fraction``:
 ``verify_curve`` composes each generator with the found curve, and
 ``verify_curve_pointwise`` evaluates them at rational parameters.
@@ -39,6 +43,7 @@ from .mpoly import (
     _unrows,
     expand_along,
     resultant,
+    squarefree_full,
 )
 from .orders import GREVLEX, LEX
 from .record import Record
@@ -178,7 +183,8 @@ class AnsatzSystem(Record):
     The equations are the generators of ``ideal``, in the context
     ``bctx`` of the unknown coefficients; their zero set is the set of
     coefficient vectors b with curve(a, b) inside the variety, and the
-    ideal caches the bases the search (lex) and the proof (grevlex) read."""
+    ideal caches the bases the search (lex) and the fallback minimality
+    proof ``no_smaller_curve`` (grevlex) read."""
 
     base: tuple
     bctx: Context
@@ -564,6 +570,44 @@ def find_curve(variety, a, d, mode="complex", inequalities=()):
     return None
 
 
+def _squarefree_plane_generator(variety):
+    """The generator g of a plane variety V(g) with g squarefree and
+    nonconstant, else None: the premises on V of the properness proof."""
+    if variety.ctx.arity != 2 or len(variety.generators) != 1:
+        return None
+    g = variety.generators[0]
+    if g.constant_value() is not None or squarefree_full(g) != g.canonical():
+        return None
+    return g
+
+
+def _proper_degree(g, curve):
+    """The effective degree k of a curve in the plane of g when the curve
+    properly parametrizes V(g), else None; g is squarefree
+    (``_squarefree_plane_generator``).
+
+    With both coordinates nonconstant, h = Res_t(y1 - c1(t), y2 - c2(t))
+    is a constant times F^r, F the implicit equation of the curve and r its
+    index, the generic number of parameters over a point of the image
+    (Sendra, Winkler & Perez-Diaz, Rational Algebraic Curves, Springer
+    2008, ch. 4).  So h = g up to a factor, g squarefree, says that r = 1
+    (the curve is proper) and that V(g) is its image.  Then every
+    nonconstant polynomial curve in V(g) is curve(q) with q rational (the
+    inverse of a proper curve is rational), and q has no finite pole, since
+    curve(q) would go to infinity there: q is a polynomial, and
+    curve(q) has degree k * deg q >= k."""
+    if any(udeg(cs) < 1 for cs in curve.coordinates()):
+        return None
+    names = g.ctx.names
+    t = "t_"
+    while t in names:
+        t += "_"
+    ctx = Context((t,) + names, LEX)
+    p1, p2 = (ctx.var(nm) - _embed_scalar(cs, ctx, t) for nm, cs in zip(names, curve.coordinates()))
+    h = resultant(p1, p2, t).rebase(g.ctx)
+    return curve.effective_degree if h.canonical() == g.canonical() else None
+
+
 def no_smaller_curve(variety, a, d):
     """Prove that no nonconstant curve of degree at most d-1 passes
     through a inside the variety.
@@ -607,15 +651,22 @@ class UniruledCertificate(Record):
 
 # with sharpness on, this many samples get a minimality proof
 _SHARPNESS_SAMPLES = 3
+# below this degree the grevlex proof, on the m unknowns of the line
+# ansatz, costs no more than the resultant of the properness proof
+_PROPER_MIN_DEGREE = 3
 
 
 def certify(variety, inequalities, d, samples, mode="complex", sharpness=False):
     """Search and verify a curve of degree <= d through every sample.
 
     Status is "verified" only if every sample received a verified curve;
-    "partial" if some did; "failed" otherwise.  With sharpness on, the
-    first _SHARPNESS_SAMPLES samples also get a no_smaller_curve proof
-    recorded."""
+    "partial" if some did; "failed" otherwise.  With sharpness on and
+    d >= 2, the first _SHARPNESS_SAMPLES samples also get the answer of
+    no_smaller_curve recorded, from the cheapest proof that applies: a
+    found curve of degree below d is its own witness (False); from
+    _PROPER_MIN_DEGREE on, a found curve that properly parametrizes a
+    squarefree plane V(g) bounds every curve in V(g) from below
+    (``_proper_degree``); otherwise no_smaller_curve runs."""
     entries = []
     minimality = {}
     for pt in samples:
@@ -624,9 +675,14 @@ def certify(variety, inequalities, d, samples, mode="complex", sharpness=False):
             raise PreconditionError(f"sample {tuple(map(str, pt))} is off the variety")
         # find_curve returns only curves that verify_curve passed
         entries.append((pt, find_curve(variety, pt, d, mode, inequalities)))
-    if sharpness:
-        for pt, _ in entries[:_SHARPNESS_SAMPLES]:
-            if d >= 2:
+    if sharpness and d >= 2:
+        g = _squarefree_plane_generator(variety) if d >= _PROPER_MIN_DEGREE else None
+        for pt, curve in entries[:_SHARPNESS_SAMPLES]:
+            if curve is not None and curve.effective_degree < d:
+                minimality[pt] = False  # the curve is its own witness
+            elif curve is not None and g is not None and _proper_degree(g, curve) is not None:
+                minimality[pt] = True  # every curve in V(g) has degree >= deg curve >= d
+            else:
                 minimality[pt] = no_smaller_curve(variety, pt, d)
     found = sum(1 for _, c in entries if c is not None)
     status = "verified" if found == len(entries) else ("partial" if found else "failed")

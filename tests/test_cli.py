@@ -7,6 +7,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import nonproper.curves
 import nonproper.problem
 from nonproper.cli import build_parser, main
 from nonproper.curves import ParametricCurve, substitute_curve
@@ -540,7 +541,7 @@ class TestCommands:
         assert "cn" in report["result"]["skipped"]
 
     def test_certify_sharpness_twist_d4(self, capsys, tmp_path, report_schema):
-        # one radical-membership proof per unknown of the degree-3 ansatz
+        # each found quartic properly parametrizes the twist, so it bounds every curve in it
         path = write_problem(tmp_path, {
             "format": 1, "vars": ["y1", "y2"], "domain_equations": ["y1 - y2^4"],
             "degree": 4, "samples": [["0", "0"], ["1", "1"]],
@@ -550,6 +551,32 @@ class TestCommands:
         jsonschema.validate(report, report_schema)
         assert report["result"]["status"] == "verified"
         assert report["result"]["minimality"] == {"0,0": True, "1,1": True}
+
+    def test_certify_sharpness_by_properness_runs_no_ansatz_proof(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr(nonproper.curves, "no_smaller_curve", lambda *a: calls.append(a))
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["y1", "y2"], "domain_equations": ["y1 + 2*y2^3"],
+            "degree": 3, "samples": [["0", "0"], ["-2", "1"], ["16", "-2"]],
+        })
+        code, report, _ = run_cli(capsys, "certify", path, "--sharpness", "--quiet")
+        assert code == 0 and calls == []
+        assert report["result"]["minimality"] == {"0,0": True, "-2,1": True, "16,-2": True}
+
+    def test_certify_sharpness_on_a_non_squarefree_domain_runs_the_ansatz_proof(
+            self, capsys, tmp_path, monkeypatch):
+        calls = []
+        proof = nonproper.curves.no_smaller_curve
+        monkeypatch.setattr(nonproper.curves, "no_smaller_curve",
+                            lambda *a: calls.append(a) or proof(*a))
+        path = write_problem(tmp_path, {
+            "format": 1, "vars": ["y1", "y2"], "domain_equations": ["(y1 - y2^3)^2"],
+            "degree": 3, "samples": [["0", "0"]],
+        })
+        code, report, _ = run_cli(capsys, "certify", path, "--sharpness", "--quiet")
+        assert code == 0 and len(calls) == 1
+        assert report["result"]["minimality"] == {"0,0": True}
 
     def test_certify_quadrant(self, capsys, report_schema):
         code, report, _ = run_cli(capsys, "certify", str(PROBLEMS / "quadrant.json"), "--quiet")

@@ -14,8 +14,10 @@ from nonproper.curves import (
     ParametricCurve,
     _ansatz_solutions,
     _power_table,
+    _proper_degree,
     _rational_roots,
     _row_value,
+    _squarefree_plane_generator,
     ansatz_system,
     certify,
     common_inner,
@@ -33,10 +35,11 @@ from nonproper.curves import (
 )
 from nonproper.errors import BudgetError, PreconditionError
 from nonproper.groebner import Ideal, buchberger, vanishes_on
-from nonproper.mpoly import Context, MPoly, _lead, _rows
+from nonproper.mpoly import Context, MPoly, _lead, _rows, resultant
 from nonproper.orders import LEX
 from nonproper.parser import parse_poly
 from nonproper.unipoly import ueval
+from nonproper import curves
 
 from conftest import mpolys, small_fractions, small_nonzero
 from sampling import images_mutually_close
@@ -813,3 +816,93 @@ class TestCertify:
         cert = certify(PARABOLA, (), 2, [(0, 0), (1, 1), (4, 2)])
         for c in cert.curves():
             assert verify_curve_pointwise(PARABOLA, c)
+
+
+def implicit_equation(c):
+    """canonical Res_t(y1 - c1(t), y2 - c2(t)) of a plane curve with both
+    coordinates nonconstant, in Y12."""
+    ctx = Context(("t",) + Y12.names, LEX)
+    p1, p2 = (ctx.var(nm) - MPoly(ctx, {(e, 0, 0): x for e, x in enumerate(cs)})
+              for nm, cs in zip(Y12.names, c.coordinates()))
+    return resultant(p1, p2, "t").rebase(Y12).canonical()
+
+
+def proper_degree(variety, c):
+    g = _squarefree_plane_generator(variety)
+    return None if g is None else _proper_degree(g, c)
+
+
+class TestProperDegree:
+    @pytest.mark.parametrize("g, c, k", [
+        ("y1 - y2^2", curve([0, 0, 1], [0, 1]), 2),
+        ("y1^2 - y2^3", curve([0, 0, 0, 1], [0, 0, 1]), 3),  # the cusp (t^3, t^2)
+        ("y1 - 2*y2^3", curve([2, 6, 6, 2], [1, 1]), 3),
+        ("3*y1 - y2^2", curve([Q(1, 3), Q(2, 3), Q(1, 3)], [1, 1]), 2),
+    ])
+    def test_proper_curves_give_their_degree(self, g, c, k):
+        assert proper_degree(V(g), c) == k
+
+    def test_curve_that_is_not_proper(self):
+        # (t^2, t^4) runs twice over the parabola: Res_t = (y2 - y1^2)^2
+        assert proper_degree(V("y2 - y1^2"), curve([0, 0, 1], [0, 0, 0, 0, 1])) is None
+
+    def test_generator_that_is_not_squarefree(self):
+        assert _squarefree_plane_generator(V("(y1 - y2^2)^2")) is None
+        assert proper_degree(V("(y1 - y2^2)^2"), curve([0, 0, 1], [0, 1])) is None
+
+    def test_three_variables(self):
+        ctx = Context(("y1", "y2", "y3"), LEX)
+        assert _squarefree_plane_generator(V("y1 - y2^2 - y3^3", ctx=ctx)) is None
+
+    def test_several_generators(self):
+        assert _squarefree_plane_generator(V("y1 - y2^2", "y1 - y2^2")) is None
+
+    def test_constant_coordinate(self):
+        assert proper_degree(V("y2 - 1"), curve([0, 1], [1])) is None
+
+    def test_curve_of_another_variety(self):
+        # proper, but its image is y1 = y2^2, not y1 = 2*y2^2
+        assert proper_degree(V("y1 - 2*y2^2"), curve([0, 0, 1], [0, 1])) is None
+
+    def test_seeded_certify_matches_both_oracles(self, monkeypatch):
+        # gamma: (linear, degree 2-4), two coordinates of degree 2-3, or a
+        # line composed with t -> q(t), deg q = 2-4 (never proper); V is
+        # the zero set of its implicit equation and a = gamma(0)
+        rng = random.Random(35)
+
+        def coeffs(deg):
+            return [rng.randint(-2, 2) for _ in range(deg)] + [rng.choice((-2, -1, 1, 2))]
+
+        paths = {"proper": 0, "fallback": 0}
+        proper, fallback = curves._proper_degree, curves.no_smaller_curve
+
+        def counted_proper(g, c):
+            k = proper(g, c)
+            paths["proper"] += k is not None
+            return k
+
+        def counted_fallback(variety, a, d):
+            paths["fallback"] += 1
+            return fallback(variety, a, d)
+
+        monkeypatch.setattr(curves, "_proper_degree", counted_proper)
+        monkeypatch.setattr(curves, "no_smaller_curve", counted_fallback)
+        for _ in range(40):
+            kind = rng.choice(("graph", "pair", "composite"))
+            if kind == "graph":
+                coords = [coeffs(1), coeffs(rng.randint(2, 4))]
+            elif kind == "pair":
+                coords = [coeffs(rng.randint(2, 3)), coeffs(rng.randint(2, 3))]
+            else:
+                q = [Q(c) for c in [0] + coeffs(rng.randint(2, 4))[1:]]
+                coords = [compose_scalar([Q(c) for c in coeffs(1)], q) for _ in range(2)]
+            rng.shuffle(coords)
+            gamma = curve(*coords)
+            variety = Ideal(Y12, [implicit_equation(gamma)])
+            a, k = gamma.eval(0), gamma.effective_degree
+            for d in range(max(2, k - 1), k + 1):
+                got = certify(variety, (), d, [a], sharpness=True).minimality[a]
+                assert got is no_smaller_curve(variety, a, d)
+                assert got is rabinowitsch_no_smaller_curve(variety, a, d)
+        # 20 and 46 at this seed: both proofs are exercised
+        assert paths["proper"] >= 15 and paths["fallback"] >= 30

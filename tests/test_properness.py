@@ -127,8 +127,9 @@ class TestCoordinateMinPoly:
         assert lead.rebase(yctx).canonical() == parse_poly("y1 - y2^2", yctx)
 
     def test_not_generically_finite_errors(self):
-        with pytest.raises(PreconditionError):
-            sf_compute(pmap(C2, "x1"))
+        # (x1, x1) forgets x2: no relation of x2 over the image
+        with pytest.raises(PreconditionError, match="'x2' is not algebraic over the image"):
+            sf_compute(pmap(C2, "x1", "x1"))
 
 
 class TestSfCompute:
