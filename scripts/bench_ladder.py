@@ -115,7 +115,7 @@ CASES = (
     _sf_case(["x^6*y^3 + x - y", "x^3*y^4 + 2*y^2 + x"]),
     _sf_case(["x^7*y^4 + x - y", "x^4*y^5 + 2*y^2 + x"]),
     _sf_case(["x^2*y*z + x - y", "y^2*z + x*z + y", "z^2*x + y - 1"], ("x", "y", "z")),
-    *(_twist_certify_case(d, sharpness) for d in (3, 4, 5) for sharpness in (True, False)),
+    *(_twist_certify_case(d, sharpness) for d in (3, 4, 5, 6, 8, 12, 16) for sharpness in (True, False)),
     *(_twist_track_case(d) for d in (4, 8, 12)),
 )
 

@@ -17,12 +17,20 @@ kernel: the line test, the integer-primitive ansatz equations and the
 back-substitution over the lex basis (each node evaluates int rows, scaled
 by one positive factor).  A positive scale changes no zero, degree or
 rational root, so the search visits the same nodes as in ``Fraction``
-arithmetic.  ``certify`` proves minimality from the curve it found where
-it can: a curve of degree below the target is a witness, and a curve that
+arithmetic.
+
+On a plane V(g) the ansatz takes the shape of g (``_plane_shape``):
+coordinate i has degree at most deg_{y_{3-i}} g, the degree of that
+coordinate in a proper parametrization of a component.  ``find_curve``
+searches the shaped ansatz first and the full one only when the shaped
+one yields no verified curve; ``no_smaller_curve`` needs the shaped one
+alone.  ``certify`` proves minimality from the curve it found where it
+can: a curve of degree below the target is a witness, and a curve that
 properly parametrizes a squarefree plane V(g) bounds every curve in V(g)
-from below, decided by one resultant and no basis (``_proper_degree``).
-Elsewhere ``no_smaller_curve`` reads only the leading monomials of a
-grevlex basis.  What is claimed is still checked in ``Fraction``:
+from below, decided by one resultant (``implicitize``) and no basis
+(``_proper_degree``).  Elsewhere ``no_smaller_curve`` reads only the
+leading monomials of a grevlex basis.  What is claimed is still checked
+in ``Fraction``:
 ``verify_curve`` composes each generator with the found curve, and
 ``verify_curve_pointwise`` evaluates them at rational parameters.
 """
@@ -33,7 +41,7 @@ import math
 import random
 
 from .errors import BudgetError, PreconditionError
-from .groebner import Ideal, eliminate
+from .groebner import Ideal
 from .mpoly import (
     Context,
     MPoly,
@@ -205,34 +213,42 @@ def _check_on_variety(variety, point, inequalities=(), mode="complex"):
 
 
 def ansatz_system(variety, a, d):
-    """Build the coefficient equations for degree-d curves through a.
+    """Build the coefficient equations for curves through a of degree at
+    most d_i in coordinate i.
 
-    Unknowns b{i}_{j} (coordinate i, t-power j); the equations are the
-    t^k coefficients of every variety generator composed with the curve,
-    canonical, in generator and then t-power order, each kept once.
+    d is one degree per coordinate, or an int d for (d, ..., d).  Unknowns
+    b{i}_{j} (coordinate i, t-power j = 1..d_i); a coordinate of degree 0
+    gets none and stays at a_i.  The equations are the t^k coefficients of
+    every variety generator composed with the curve, canonical, in
+    generator and then t-power order, each kept once.
     """
     m = variety.ctx.arity
     a = tuple(Q(x) for x in a)
     if len(a) != m:
         raise PreconditionError("base point arity mismatch")
-    if d < 1:
+    degs = (d,) * m if isinstance(d, int) else tuple(d)
+    if len(degs) != m:
+        raise PreconditionError("degree shape arity mismatch")
+    if max(degs) < 1 or min(degs) < 0:
         raise PreconditionError("curve degree must be at least 1")
     if not _check_on_variety(variety, a):
         raise PreconditionError(f"base point {tuple(map(str, a))} is off the variety")
-    grid = tuple(tuple(f"b{i + 1}_{j}" for j in range(1, d + 1)) for i in range(m))
-    n = m * d
+    grid = tuple(tuple(f"b{i + 1}_{j}" for j in range(1, di + 1)) for i, di in enumerate(degs))
+    n = sum(degs)
     bctx = Context(tuple(nm for row in grid for nm in row), GREVLEX)
     neg_key = bctx.order.neg_key
     # with an integral base point and generators every expansion is an int dict
     integral = all(x.denominator == 1 for x in a) and all(
         c.denominator == 1 for g in variety.generators for c in g.terms.values())
-    # coordinate i is a_i + sum_j b{i}_{j} t^j; unknown (i, j) has index i*d + j - 1
+    # coordinate i is a_i + sum_j b{i}_{j} t^j; unknown (i, j) has index start + j - 1
     coords = []
-    for i in range(m):
-        c = {(j,) + (0,) * (i * d + j - 1) + (1,) + (0,) * (n - i * d - j): 1 for j in range(1, d + 1)}
+    start = 0
+    for i, di in enumerate(degs):
+        c = {(j,) + (0,) * (start + j - 1) + (1,) + (0,) * (n - start - j): 1 for j in range(1, di + 1)}
         if a[i]:
             c[(0,) * (n + 1)] = a[i].numerator if a[i].denominator == 1 else a[i]
         coords.append(c)
+        start += di
     eqs = []
     seen = set()
     for g in variety.generators:
@@ -542,13 +558,22 @@ def find_curve(variety, a, d, mode="complex", inequalities=()):
     most d through a inside the variety.
 
     Strategy: cheap monomial patterns a +- t^p * e_i first, then exact
-    solutions of the ansatz ideal (triangular back-substitution from a
+    solutions of an ansatz ideal (triangular back-substitution from a
     lex basis, with small rational substitutions on underdetermined
     coefficients).  Patterns are tried only along coordinates whose whole
     line a + s*e_i lies in the variety: a generator g vanishes along
     a +- t^p * e_i iff P(s) = g(a + s*e_i) is zero, so one line test per
     coordinate replaces the equation checks of 2d patterns; inequalities
-    are still checked per pattern.  A None return is not a nonexistence
+    are still checked per pattern.
+
+    On a plane V(g) the ansatz shaped by g comes first (``_plane_shape``):
+    it holds the proper curve through a of every polynomially
+    parametrized component of V(g) through a, on d + 1 unknowns for
+    y1 - c*y2^d where the full ansatz has 2d.  The full degree-d ansatz
+    is searched only when the shaped one yields no verified curve, as in
+    real mode, where a verified curve may have to be improper: on
+    y1 - y2^2 with y2 >= 0 at (1, 1) only the curve (y2(t)^2, y2(t)) with
+    y2 = 1 + t + t^2 qualifies.  A None return is not a nonexistence
     proof; use no_smaller_curve for proofs.
     """
     a = tuple(Q(x) for x in a)
@@ -560,25 +585,71 @@ def find_curve(variety, a, d, mode="complex", inequalities=()):
             continue
         if verify_curve(variety, inequalities, curve, a, d, mode).ok:
             return curve
-    system = ansatz_system(variety, a, d)
-    for solution in _ansatz_solutions(system):
-        curve = _curve_from_solution(system, solution, mode)
-        if curve.is_constant():
-            continue
-        if verify_curve(variety, inequalities, curve, a, d, mode).ok:
-            return curve
+    shape = _plane_shape(variety, d)
+    for degrees in ([d] if shape in (None, (d, d)) else [shape, d]):
+        system = ansatz_system(variety, a, degrees)
+        for solution in _ansatz_solutions(system):
+            curve = _curve_from_solution(system, solution, mode)
+            if curve.is_constant():
+                continue
+            if verify_curve(variety, inequalities, curve, a, d, mode).ok:
+                return curve
     return None
+
+
+def _plane_generator(variety):
+    """The generator g of a plane variety V(g) with g nonconstant, else
+    None."""
+    if variety.ctx.arity != 2 or len(variety.generators) != 1:
+        return None
+    g = variety.generators[0]
+    return None if g.constant_value() is not None else g
+
+
+def _plane_shape(variety, d):
+    """The degree shape of curves of degree at most d in a plane V(g):
+    coordinate i gets min(d, deg_{y_{3-i}} g).  None off a plane V(g).
+
+    A proper polynomial parametrization (p1, p2) of an irreducible V(h)
+    has deg p1 = deg_{y2} h and deg p2 = deg_{y1} h: a generic line
+    y2 = c meets V(h) in deg_{y1} h points, each the image of one t
+    (Sendra, Winkler & Perez-Diaz, Rational Algebraic Curves, Springer
+    2008, ch. 4 and 6).  Each component h of g has deg_{y_i} h <=
+    deg_{y_i} g, and a polynomial parametrization passes through every
+    point of its image, through a at t = 0 after a shift of t.  So the
+    shaped ansatz holds the proper curve through a of every polynomially
+    parametrized component of V(g) of degree at most d."""
+    g = _plane_generator(variety)
+    if g is None:
+        return None
+    y1, y2 = variety.ctx.names
+    return min(d, g.degree_in(y2)), min(d, g.degree_in(y1))
 
 
 def _squarefree_plane_generator(variety):
     """The generator g of a plane variety V(g) with g squarefree and
     nonconstant, else None: the premises on V of the properness proof."""
-    if variety.ctx.arity != 2 or len(variety.generators) != 1:
-        return None
-    g = variety.generators[0]
-    if g.constant_value() is not None or squarefree_full(g) != g.canonical():
-        return None
-    return g
+    g = _plane_generator(variety)
+    return g if g is not None and squarefree_full(g) == g.canonical() else None
+
+
+def implicitize(curve, ctx):
+    """h = Res_t(y1 - c1(t), y2 - c2(t)) for a plane curve (c1, c2) with
+    both coordinates nonconstant, as a polynomial in the two variables of
+    ctx.
+
+    h is a nonzero constant times F^r, F the implicit equation of the
+    curve and r its index, the generic number of parameters over a point
+    of the image (Sendra, Winkler & Perez-Diaz, ch. 4)."""
+    if curve.m != 2 or ctx.arity != 2 or any(udeg(cs) < 1 for cs in curve.coordinates()):
+        raise PreconditionError("implicitize takes a plane curve with both coordinates nonconstant")
+    names = ctx.names
+    t = "t_"
+    while t in names:
+        t += "_"
+    tctx = Context((t,) + names, LEX)
+    p1, p2 = (tctx.var(nm) - _embed_scalar(cs, tctx, t) for nm, cs in zip(names, curve.coordinates()))
+    return resultant(p1, p2, t).rebase(ctx)
 
 
 def _proper_degree(g, curve):
@@ -586,25 +657,17 @@ def _proper_degree(g, curve):
     properly parametrizes V(g), else None; g is squarefree
     (``_squarefree_plane_generator``).
 
-    With both coordinates nonconstant, h = Res_t(y1 - c1(t), y2 - c2(t))
-    is a constant times F^r, F the implicit equation of the curve and r its
-    index, the generic number of parameters over a point of the image
-    (Sendra, Winkler & Perez-Diaz, Rational Algebraic Curves, Springer
-    2008, ch. 4).  So h = g up to a factor, g squarefree, says that r = 1
-    (the curve is proper) and that V(g) is its image.  Then every
-    nonconstant polynomial curve in V(g) is curve(q) with q rational (the
-    inverse of a proper curve is rational), and q has no finite pole, since
-    curve(q) would go to infinity there: q is a polynomial, and
-    curve(q) has degree k * deg q >= k."""
+    With both coordinates nonconstant, h = ``implicitize(curve, g.ctx)`` is a
+    constant times F^r, F the implicit equation of the curve and r its
+    index.  So h = g up to a factor, g squarefree, says that r = 1 (the
+    curve is proper) and that V(g) is its image.  Then every nonconstant
+    polynomial curve in V(g) is curve(q) with q rational (the inverse of a
+    proper curve is rational), and q has no finite pole, since curve(q)
+    would go to infinity there: q is a polynomial, and curve(q) has degree
+    k * deg q >= k."""
     if any(udeg(cs) < 1 for cs in curve.coordinates()):
         return None
-    names = g.ctx.names
-    t = "t_"
-    while t in names:
-        t += "_"
-    ctx = Context((t,) + names, LEX)
-    p1, p2 = (ctx.var(nm) - _embed_scalar(cs, ctx, t) for nm, cs in zip(names, curve.coordinates()))
-    h = resultant(p1, p2, t).rebase(g.ctx)
+    h = implicitize(curve, g.ctx)
     return curve.effective_degree if h.canonical() == g.canonical() else None
 
 
@@ -624,10 +687,20 @@ def no_smaller_curve(variety, a, d):
     Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 5 sec. 3,
     Thm. 6).  The zero ideal (every coefficient vector is a curve) has no
     leading monomials and gives False; the unit ideal cannot occur, since
-    b = 0 lies in V(I)."""
+    b = 0 lies in V(I).
+
+    On a plane V(g), I is the ideal of the ansatz shaped by g at degree
+    d-1 (``_plane_shape``), with no fallback.  Every nonconstant curve c
+    of degree at most d-1 through a is p(q) with p proper and q a
+    polynomial (Lueroth), so deg p <= d-1; shifting t, p passes through a
+    at t = 0.  p parametrizes a component of V(g), so p lies in the
+    shaped ansatz, and the shaped V(I) holds a nonconstant curve iff the
+    full one does.  Setting the unknowns outside the shape to zero keeps
+    the weights, so the shaped V(I) is still a cone, and the same
+    finiteness test decides it."""
     if d <= 1:
         raise PreconditionError("no_smaller_curve needs d >= 2 (degree d-1 curves exist only for d-1 >= 1)")
-    system = ansatz_system(variety, a, d - 1)
+    system = ansatz_system(variety, a, _plane_shape(variety, d - 1) or d - 1)
     order = system.bctx.order
     lms = [g.leading_monomial(order) for g in system.ideal.groebner()]
     return all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(system.bctx.arity))
@@ -831,18 +904,6 @@ def cover_image_real(curve):
     shift = [gamma, Q(0), Q(1)]  # gamma + s^2
     coords = [compose_scalar(cs, shift) for cs in outer.coordinates()]
     return ParametricCurve.from_coordinates(coords, "real")
-
-
-def curve_relations(curve, names=None):
-    """Implicitization: the ideal of polynomial relations satisfied by
-    the curve's coordinates, via elimination of the parameter."""
-    m = curve.m
-    names = tuple(names) if names else tuple(f"y{i + 1}" for i in range(m))
-    ctx = Context(("t__",) + names, GREVLEX)
-    gens = []
-    for i in range(m):
-        gens.append(ctx.var(names[i]) - _embed_scalar(curve.coordinate(i), ctx, "t__"))
-    return eliminate(Ideal(ctx, gens), set(names))
 
 
 # -- one-parameter additive actions ------------------------------------------------------

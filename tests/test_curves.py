@@ -13,6 +13,8 @@ from nonproper.curves import (
     OneParamAction,
     ParametricCurve,
     _ansatz_solutions,
+    _curve_from_solution,
+    _plane_shape,
     _power_table,
     _proper_degree,
     _rational_roots,
@@ -23,10 +25,10 @@ from nonproper.curves import (
     common_inner,
     compose_scalar,
     cover_image_real,
-    curve_relations,
     decompose,
     find_curve,
     fixed_locus,
+    implicitize,
     is_unbounded,
     no_smaller_curve,
     substitute_curve,
@@ -35,7 +37,7 @@ from nonproper.curves import (
 )
 from nonproper.errors import BudgetError, PreconditionError
 from nonproper.groebner import Ideal, buchberger, vanishes_on
-from nonproper.mpoly import Context, MPoly, _lead, _rows, resultant
+from nonproper.mpoly import Context, MPoly, _lead, _rows
 from nonproper.orders import LEX
 from nonproper.parser import parse_poly
 from nonproper.unipoly import ueval
@@ -156,6 +158,35 @@ class TestAnsatz:
     def test_base_point_off_variety(self):
         with pytest.raises(PreconditionError, match="off the variety"):
             ansatz_system(PARABOLA, (1, 3), 2)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_shaped_twist_has_d_plus_one_unknowns(self, d):
+        # y1 - c*y2^d is properly parametrized by (c*t^d, t): degrees (d, 1)
+        twist = V(f"y1 + 3*y2^{d}")
+        shape = _plane_shape(twist, d)
+        assert shape == (d, 1)
+        assert len(ansatz_system(twist, (-3, 1), shape).bctx.names) == d + 1
+        assert len(ansatz_system(twist, (-3, 1), d).bctx.names) == 2 * d
+
+    def test_coordinate_of_degree_zero_stays_at_the_base_point(self):
+        # the vertical line y1 = 3 has the shape (0, 1): y1 gets no unknown
+        line = V("y1 - 3")
+        assert _plane_shape(line, 4) == (0, 1)
+        sysm = ansatz_system(line, (3, 5), (0, 1))
+        assert sysm.unknowns == ((), ("b2_1",))
+        assert sysm.ideal.is_zero_ideal()
+        first = next(_ansatz_solutions(sysm))
+        assert _curve_from_solution(sysm, first, "complex") == curve([3], [5, 1])
+        assert no_smaller_curve(line, (3, 5), 2) is False
+        with pytest.raises(PreconditionError, match="at least 1"):
+            ansatz_system(line, (3, 5), (0, 0))
+        with pytest.raises(PreconditionError, match="arity"):
+            ansatz_system(line, (3, 5), (1,))
+
+    def test_no_shape_off_a_plane_curve(self):
+        assert _plane_shape(FULL, 3) is None
+        assert _plane_shape(V("y1", "y2"), 3) is None
+        assert _plane_shape(V("y1 - y2^2 - y3^3", ctx=Context(("y1", "y2", "y3"), LEX)), 3) is None
 
 
 def fraction_rational_roots(cs):
@@ -450,6 +481,28 @@ def plane_curve_cases(draw):
     return Ideal(Y12, [g]), a, d
 
 
+def record_shapes(monkeypatch):
+    """The degree shapes of the ansatz systems that curves builds from now
+    on, in call order."""
+    shapes = []
+    build = curves.ansatz_system
+
+    def recorded(variety, a, d):
+        shapes.append(d)
+        return build(variety, a, d)
+
+    monkeypatch.setattr(curves, "ansatz_system", recorded)
+    return shapes
+
+
+def full_no_smaller_curve(variety, a, d):
+    """Reference minimality proof on the full degree-(d-1) ansatz, with the
+    pure-power test of no_smaller_curve."""
+    system = ansatz_system(variety, a, d - 1)
+    lms = [g.leading_monomial(system.bctx.order) for g in system.ideal.groebner()]
+    return all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(system.bctx.arity))
+
+
 class TestFindCurve:
     def test_axis(self):
         c = find_curve(AXIS, (0, 3), 1)
@@ -481,6 +534,20 @@ class TestFindCurve:
         expected = first_pattern_curve(variety, a, d)
         if expected is not None:
             assert find_curve(variety, a, d) == expected
+
+    def test_real_mode_falls_back_to_the_full_ansatz(self, monkeypatch):
+        # on y1 = y2^2 the shaped curves through (1, 1) have y2 = 1 + b*t,
+        # negative somewhere unless b = 0, so y2 >= 0 leaves only the
+        # improper curve (y2^2, y2), y2 = 1 + t + t^2, of the full ansatz
+        shapes = record_shapes(monkeypatch)
+        c = find_curve(PARABOLA, (1, 1), 4, "real", (parse_poly("y2", Y12),))
+        assert shapes == [(2, 1), 4]
+        assert c == curve([1, 2, 3, 2, 1], [1, 1, 1], mode="real")
+
+    def test_shape_of_the_full_ansatz_is_searched_once(self, monkeypatch):
+        shapes = record_shapes(monkeypatch)
+        assert find_curve(V("y1^2 + y2^2 - 1"), (1, 0), 2) is None
+        assert shapes == [2]
 
     def test_patterns_check_inequalities(self):
         # at the corner of the quadrant both coordinate lines lie in the
@@ -649,10 +716,7 @@ class TestCoverImageReal:
     def test_shifted_minimum(self):
         # g = (t - 1)^2 has minimum 0 at t=1; phi = g so eta = s^2
         eta = cover_image_real(curve([1, -2, 1], mode="real"))
-        rel_phi = curve_relations(curve([1, -2, 1], mode="real"), names=("w",))
-        for gen in rel_phi.canonical_generators():
-            if not gen.is_zero():
-                assert substitute_curve(gen, eta).is_zero()
+        assert eta.coordinates() == [[Q(0), Q(0), Q(1)]]
 
     def test_unattained_critical_value_rejected(self):
         # g = t^4 + 2t^2 has critical values -1 (at t = +-i) and 0; g + 1 =
@@ -675,22 +739,13 @@ class TestCoverImageReal:
         assert eta.effective_degree == phi.effective_degree // (len(inner) - 1)
 
     def test_set_contract_relations_and_sampling(self):
-        cases = [
-            ([[0, 0, 1]],),
-            ([[0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1]],),
-            ([[0, 0, 0, 0, 1], [0] * 8 + [1]],),
-        ]
-        for (coords,) in cases:
+        for coords in ([[0, 0, 1]], [[0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1]],
+                       [[0, 0, 0, 0, 1], [0] * 8 + [1]]):
             phi = curve(*coords, mode="real")
             eta = cover_image_real(phi)
-            rel_phi = curve_relations(phi)
-            rel_eta = curve_relations(eta)
-            for gen in rel_phi.canonical_generators():
-                if not gen.is_zero():
-                    assert substitute_curve(gen, eta).is_zero()
-            for gen in rel_eta.canonical_generators():
-                if not gen.is_zero():
-                    assert substitute_curve(gen, phi).is_zero()
+            if phi.m == 2:  # a curve in the line satisfies no relation
+                assert substitute_curve(implicitize(phi, Y12), eta).is_zero()
+                assert substitute_curve(implicitize(eta, Y12), phi).is_zero()
             assert images_mutually_close(phi, eta, n=200, tol=1e-9)
 
     def test_requires_real_mode(self):
@@ -818,15 +873,6 @@ class TestCertify:
             assert verify_curve_pointwise(PARABOLA, c)
 
 
-def implicit_equation(c):
-    """canonical Res_t(y1 - c1(t), y2 - c2(t)) of a plane curve with both
-    coordinates nonconstant, in Y12."""
-    ctx = Context(("t",) + Y12.names, LEX)
-    p1, p2 = (ctx.var(nm) - MPoly(ctx, {(e, 0, 0): x for e, x in enumerate(cs)})
-              for nm, cs in zip(Y12.names, c.coordinates()))
-    return resultant(p1, p2, "t").rebase(Y12).canonical()
-
-
 def proper_degree(variety, c):
     g = _squarefree_plane_generator(variety)
     return None if g is None else _proper_degree(g, c)
@@ -898,7 +944,7 @@ class TestProperDegree:
                 coords = [compose_scalar([Q(c) for c in coeffs(1)], q) for _ in range(2)]
             rng.shuffle(coords)
             gamma = curve(*coords)
-            variety = Ideal(Y12, [implicit_equation(gamma)])
+            variety = Ideal(Y12, [implicitize(gamma, Y12)])
             a, k = gamma.eval(0), gamma.effective_degree
             for d in range(max(2, k - 1), k + 1):
                 got = certify(variety, (), d, [a], sharpness=True).minimality[a]
@@ -906,3 +952,45 @@ class TestProperDegree:
                 assert got is rabinowitsch_no_smaller_curve(variety, a, d)
         # 20 and 46 at this seed: both proofs are exercised
         assert paths["proper"] >= 15 and paths["fallback"] >= 30
+
+
+class TestShapedSearch:
+    def test_seeded_random_curves(self, monkeypatch):
+        # gamma: a pair of integer coordinates of degrees 1-4 and 1-2, or a
+        # curve p of degrees (1-2, 1) composed with t -> q(t), deg q = 2
+        # (never proper).  Two degree-4 coordinates would give the shape
+        # (4, 4) of the full ansatz, whose lex basis on a dense quartic runs
+        # for minutes.  V = V(implicitize(gamma)) and a = gamma(t0).
+        rng = random.Random(36)
+
+        def coeffs(deg):
+            return [rng.randint(-3, 3) for _ in range(deg)] + [rng.choice((-2, -1, 1, 2))]
+
+        shapes = record_shapes(monkeypatch)
+        answers = set()
+        for _ in range(30):
+            if rng.random() < 0.7:
+                degs = [rng.randint(1, 4), rng.randint(1, 2)]
+                rng.shuffle(degs)
+                coords = [coeffs(k) for k in degs]
+            else:
+                degs = [rng.randint(1, 2), 1]
+                rng.shuffle(degs)
+                q = [Q(c) for c in coeffs(2)]
+                coords = [compose_scalar([Q(c) for c in coeffs(k)], q) for k in degs]
+            gamma = curve(*coords)
+            variety = Ideal(Y12, [implicitize(gamma, Y12)])
+            a = gamma.eval(Q(rng.randint(-3, 3), rng.randint(1, 3)))
+            k = gamma.effective_degree
+            shapes.clear()
+            c = find_curve(variety, a, k)
+            assert c is not None
+            assert verify_curve(variety, (), c, a, k).ok
+            assert verify_curve_pointwise(variety, c)
+            # the shaped ansatz holds a curve through a: no fallback
+            assert len(shapes) <= 1
+            for d in range(2, k + 1):
+                got = no_smaller_curve(variety, a, d)
+                assert got is full_no_smaller_curve(variety, a, d)
+                answers.add(got)
+        assert answers == {True, False}
