@@ -495,14 +495,6 @@ def record_shapes(monkeypatch):
     return shapes
 
 
-def full_no_smaller_curve(variety, a, d):
-    """Reference minimality proof on the full degree-(d-1) ansatz, with the
-    pure-power test of no_smaller_curve."""
-    system = ansatz_system(variety, a, d - 1)
-    lms = [g.leading_monomial(system.bctx.order) for g in system.ideal.groebner()]
-    return all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(system.bctx.arity))
-
-
 class TestFindCurve:
     def test_axis(self):
         c = find_curve(AXIS, (0, 3), 1)
@@ -960,7 +952,8 @@ class TestShapedSearch:
         # curve p of degrees (1-2, 1) composed with t -> q(t), deg q = 2
         # (never proper).  Two degree-4 coordinates would give the shape
         # (4, 4) of the full ansatz, whose lex basis on a dense quartic runs
-        # for minutes.  V = V(implicitize(gamma)) and a = gamma(t0).
+        # for minutes.  V = V(implicitize(gamma)) and a = gamma(t0).  The
+        # shaped proof must match the Rabinowitsch proof on the full ansatz.
         rng = random.Random(36)
 
         def coeffs(deg):
@@ -991,6 +984,6 @@ class TestShapedSearch:
             assert len(shapes) <= 1
             for d in range(2, k + 1):
                 got = no_smaller_curve(variety, a, d)
-                assert got is full_no_smaller_curve(variety, a, d)
+                assert got is rabinowitsch_no_smaller_curve(variety, a, d)
                 answers.add(got)
         assert answers == {True, False}
